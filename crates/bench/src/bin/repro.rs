@@ -815,32 +815,29 @@ fn bench_stage_breakdown(o: &Opts) -> Vec<String> {
 }
 
 /// The kernels axis (new in schema v7): the scalar reference loops
-/// timed head-to-head against the runtime-dispatched SIMD kernels on
-/// the three vectorized hot paths — linear-scale quantization, the
-/// fused interpolation stencils, and Huffman histogramming. The two
-/// variants are exercised through the same public entry points the
-/// engine uses, on smooth mostly-predictable inputs (the compressor's
-/// common case), best-of-N per variant. Output bytes are bit-identical
-/// across paths, so the speedup column is the whole story.
+/// timed head-to-head against the compiled-in vector path on the two
+/// per-point hot loops that have a second variant — linear-scale
+/// quantization and Huffman histogramming. Both variants run through
+/// the same public entry points the engine uses, on smooth
+/// mostly-predictable inputs (the compressor's common case), best-of-N
+/// per variant. Output is bit-identical across variants, so the speedup
+/// column is the whole story.
 fn bench_kernels() -> Vec<String> {
     use qoz_codec::huffman::dense_counts;
     use qoz_codec::simd::{quantize_block, KernelPath, QuantSpec, BLOCK};
     use qoz_codec::LinearQuantizer;
-    use qoz_predict::simd::fill_preds;
-    use qoz_predict::traverse::{LineRun, RunStencil};
-    use qoz_predict::InterpKind;
 
     const N: usize = 1 << 19;
     const TRIALS: usize = 5;
     let dispatched = qoz_codec::simd::selected();
     println!(
-        "\n--- kernels: scalar vs dispatched ({}; cpu: {}) ---",
+        "\n--- kernels: scalar vs compiled-in ({}; cpu: {}) ---",
         dispatched.name(),
         qoz_codec::simd::cpu_features()
     );
     println!(
         "{:<16} {:<6} {:>12} {:>14} {:>8}",
-        "stage", "dtype", "scalar MB/s", "dispatch MB/s", "speedup"
+        "stage", "dtype", "scalar MB/s", "vector MB/s", "speedup"
     );
 
     let best_of = |f: &mut dyn FnMut()| -> f64 {
@@ -932,37 +929,6 @@ fn bench_kernels() -> Vec<String> {
             )
         };
         row("quantize", dtype, dispatched.name(), bytes, t_s, t_d);
-    }
-
-    // Stencils: interior line runs over a smooth buffer, the geometry
-    // the traversal emits on contiguous lines (step 2s, neighbours at
-    // ±s / ±3s with s = 1).
-    for kind in [InterpKind::Linear, InterpKind::Cubic, InterpKind::Quadratic] {
-        let stencil_sweep = |path: KernelPath| {
-            let mut preds = [0f64; BLOCK];
-            let mut base = 3usize;
-            while base + 2 * BLOCK + 3 < N {
-                let run = LineRun {
-                    off0: base,
-                    step: 2,
-                    cnt: BLOCK,
-                    d1: 1,
-                    d3: 3,
-                    stencil: RunStencil::Interp(kind),
-                };
-                fill_preds(path, &vals_f64, &run, &mut preds[..BLOCK]);
-                std::hint::black_box(preds[BLOCK - 1]);
-                base += 2 * BLOCK;
-            }
-        };
-        let t_s = best_of(&mut || stencil_sweep(KernelPath::Scalar));
-        let t_d = best_of(&mut || stencil_sweep(dispatched));
-        let name = match kind {
-            InterpKind::Linear => "stencil_linear",
-            InterpKind::Cubic => "stencil_cubic",
-            InterpKind::Quadratic => "stencil_quadratic",
-        };
-        row(name, "f64", dispatched.name(), 8 * N / 2, t_s, t_d);
     }
 
     // Histogram: quantizer-bin-like symbols, long runs of the centre

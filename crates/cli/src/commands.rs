@@ -597,7 +597,7 @@ pub fn run(cmd: Command) -> Result<Vec<String>, CliError> {
                 Ok(snap.render_text().lines().map(str::to_string).collect())
             } else {
                 // The engine publishes `qoz_kernel_path{path=...} = 1` for
-                // the SIMD path its last run dispatched to; before the
+                // the kernel path its last compress ran; before the
                 // daemon has compressed anything no path is set yet.
                 let kernel = stats
                     .telemetry

@@ -6,7 +6,6 @@
 //! or corrupted inputs surface as [`CodecError`] values rather than panics.
 
 use crate::{CodecError, Result};
-use bytes::BufMut;
 
 /// Growable little-endian byte sink.
 ///
@@ -63,27 +62,27 @@ impl ByteWriter {
 
     /// Append one byte.
     pub fn put_u8(&mut self, v: u8) {
-        self.buf.put_u8(v);
+        self.buf.push(v);
     }
 
     /// Append a little-endian `u16`.
     pub fn put_u16(&mut self, v: u16) {
-        self.buf.put_u16_le(v);
+        self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
     /// Append a little-endian `u32`.
     pub fn put_u32(&mut self, v: u32) {
-        self.buf.put_u32_le(v);
+        self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
     /// Append a little-endian `u64`.
     pub fn put_u64(&mut self, v: u64) {
-        self.buf.put_u64_le(v);
+        self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
     /// Append a little-endian `f64`.
     pub fn put_f64(&mut self, v: f64) {
-        self.buf.put_f64_le(v);
+        self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
     /// Append an LEB128 varint.
@@ -92,16 +91,16 @@ impl ByteWriter {
             let byte = (v & 0x7F) as u8;
             v >>= 7;
             if v == 0 {
-                self.buf.put_u8(byte);
+                self.buf.push(byte);
                 return;
             }
-            self.buf.put_u8(byte | 0x80);
+            self.buf.push(byte | 0x80);
         }
     }
 
     /// Append raw bytes.
     pub fn put_bytes(&mut self, bytes: &[u8]) {
-        self.buf.put_slice(bytes);
+        self.buf.extend_from_slice(bytes);
     }
 
     /// Append a varint length prefix followed by the bytes.

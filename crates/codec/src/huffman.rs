@@ -134,12 +134,12 @@ const HIST_SPLIT: usize = 4;
 
 /// Inputs small enough that chain-breaking cannot pay for the extra
 /// table zeroing/merging, or ranges wide enough that `K` tables would
-/// blow the cache, stay on the single-table loop. The split path also
-/// honours `QOZ_FORCE_SCALAR=1`, which pins every pre-SIMD hot loop.
+/// blow the cache, stay on the single-table loop. The choice depends on
+/// the input size only: both variants are exact integer code.
 fn split_histogram_applies(len: usize, max: usize) -> bool {
     const MIN_SYMBOLS: usize = 1 << 12;
     const MAX_RANGE: usize = 1 << 17;
-    len >= MIN_SYMBOLS && max < MAX_RANGE && !qoz_tensor::simd::force_scalar()
+    len >= MIN_SYMBOLS && max < MAX_RANGE
 }
 
 /// Dense frequency counting: on return `counts[s]` holds the number of

@@ -1,21 +1,28 @@
-//! Vectorized quantizer kernels with runtime dispatch.
+//! The one vector kernel: block-granular linear-scale quantization.
 //!
-//! Block-granular versions of [`LinearQuantizer::quantize`] and
-//! [`LinearQuantizer::reconstruct`]: the engine hands over a batch of
+//! [`quantize_block`] is the block version of
+//! [`LinearQuantizer::quantize`]: the engine hands over a batch of
 //! values and predictions, the kernel returns codes and reconstructions
-//! for every lane. The AVX2/SSE2/NEON paths are **bit-identical** to the
-//! scalar quantizer — same codes, same reconstructed bits, on every
-//! input including NaN/Inf and out-of-range residuals — which is what
-//! lets the compressed golden bitstreams stay pinned across dispatch
-//! paths.
+//! for every lane. Its ISA is fixed at compile time — SSE2 on x86_64 and
+//! NEON on aarch64 (both baseline features of their architectures, so
+//! there is no runtime detection), the scalar reference elsewhere.
+//! Setting `QOZ_FORCE_SCALAR=1` in the environment pins the scalar
+//! reference for the whole process (read once, cached), the escape
+//! hatch for bisecting a suspected kernel bug.
+//!
+//! Every path is **bit-identical** to the scalar quantizer — same codes,
+//! same reconstructed bits, on every input including NaN/Inf and
+//! out-of-range residuals — which is what lets the compressed golden
+//! bitstreams stay pinned whichever path ran.
 //!
 //! The two places bit-identity needs actual care:
 //!
 //! * **Rounding.** Rust's `f64::round()` rounds half *away from zero*;
-//!   the x86 vector rounding instructions only offer round-to-nearest-
-//!   *even*. The kernels emulate away-from-zero exactly: truncate toward
-//!   zero, then bump by one where the (exactly representable) fractional
-//!   part reaches ±0.5. On aarch64 `FRINTA` natively rounds ties away.
+//!   the x86 vector conversions only offer round-to-nearest-*even* or
+//!   truncation. The SSE2 kernel emulates away-from-zero exactly:
+//!   truncate toward zero, then bump by one where the (exactly
+//!   representable) fractional part reaches ±0.5. On aarch64 `FRINTA`
+//!   natively rounds ties away.
 //! * **No FMA, no reciprocal.** The scalar reference divides by `2e` and
 //!   rounds the product `2e·q` before adding the prediction; the vector
 //!   code uses the same `div`/`mul`+`add` sequence so every intermediate
@@ -27,12 +34,80 @@
 
 use crate::quantizer::LinearQuantizer;
 use qoz_tensor::Scalar;
+use std::sync::OnceLock;
 
-pub use qoz_tensor::simd::{
-    cpu_features, detect, force_scalar, selected, supported, supported_paths, KernelPath,
-};
+/// Which implementation [`quantize_block`] runs.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum KernelPath {
+    /// SSE2: 2×f64 lanes (x86_64 baseline).
+    Sse2,
+    /// NEON: 2×f64 lanes (aarch64 baseline).
+    Neon,
+    /// Portable scalar reference (any target).
+    Scalar,
+}
 
-/// Maximum lanes per [`quantize_block`]/[`reconstruct_block`] call.
+impl KernelPath {
+    /// The vector path this build compiles in: SSE2 on x86_64, NEON on
+    /// aarch64, scalar on every other target.
+    pub const NATIVE: KernelPath = if cfg!(target_arch = "x86_64") {
+        KernelPath::Sse2
+    } else if cfg!(target_arch = "aarch64") {
+        KernelPath::Neon
+    } else {
+        KernelPath::Scalar
+    };
+
+    /// Stable lowercase name, used in telemetry labels and bench JSON.
+    pub fn name(self) -> &'static str {
+        match self {
+            KernelPath::Sse2 => "sse2",
+            KernelPath::Neon => "neon",
+            KernelPath::Scalar => "scalar",
+        }
+    }
+}
+
+impl std::fmt::Display for KernelPath {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(self.name())
+    }
+}
+
+/// The path the engine runs: [`KernelPath::NATIVE`] unless
+/// `QOZ_FORCE_SCALAR=1` pins [`KernelPath::Scalar`]. Cached per process.
+pub fn selected() -> KernelPath {
+    static SELECTED: OnceLock<KernelPath> = OnceLock::new();
+    *SELECTED.get_or_init(|| {
+        if std::env::var("QOZ_FORCE_SCALAR").is_ok_and(|v| v == "1") {
+            KernelPath::Scalar
+        } else {
+            KernelPath::NATIVE
+        }
+    })
+}
+
+/// Comma-separated list of the vector feature sets the running CPU
+/// advertises. Informational only (nothing dispatches on it): recorded
+/// in bench headers so before/after numbers are apples-to-apples.
+pub fn cpu_features() -> String {
+    let mut feats: Vec<&str> = Vec::new();
+    #[cfg(target_arch = "x86_64")]
+    {
+        if std::arch::is_x86_feature_detected!("avx2") {
+            feats.push("avx2");
+        }
+        feats.push("sse2");
+    }
+    #[cfg(target_arch = "aarch64")]
+    feats.push("neon");
+    if feats.is_empty() {
+        feats.push("none");
+    }
+    feats.join(",")
+}
+
+/// Maximum lanes per [`quantize_block`] call.
 /// Callers chunk longer runs; the kernels keep per-block staging on the
 /// stack.
 pub const BLOCK: usize = 64;
@@ -53,8 +128,6 @@ pub struct QuantSpec {
     pub limit: f64,
     /// `radius as f64` (exact; the radius is capped at 2^30).
     pub radius_f: f64,
-    /// `2 * radius`: codes must be in `1..num_codes`.
-    pub num_codes: u32,
 }
 
 impl QuantSpec {
@@ -72,7 +145,6 @@ impl QuantSpec {
             two_e: 2.0 * q.error_bound(),
             limit: (q.radius() - 1) as f64,
             radius_f: q.radius() as f64,
-            num_codes: q.num_codes(),
         })
     }
 }
@@ -87,8 +159,8 @@ impl QuantSpec {
 /// * `recons[k]` — the reconstruction (the original value when
 ///   unpredictable).
 ///
-/// All slices must have the same length, at most [`BLOCK`]. An
-/// unsupported `path` silently degrades to scalar.
+/// All slices must have the same length, at most [`BLOCK`]. A `path`
+/// this build has no vector code for runs the scalar reference.
 pub fn quantize_block<T: Scalar>(
     path: KernelPath,
     spec: &QuantSpec,
@@ -121,40 +193,11 @@ pub fn quantize_block<T: Scalar>(
     }
 }
 
-/// `true` when every code in the block is a regular in-range code — the
-/// precondition for [`reconstruct_block`]. Blocks containing `0`
-/// (unpredictable) or out-of-range codes go through the per-point
-/// decoder path instead.
-pub fn codes_regular(spec: &QuantSpec, codes: &[u32]) -> bool {
-    codes.iter().all(|&c| c != 0 && c < spec.num_codes)
-}
-
-/// Reconstruct a block of regular codes against their predictions,
-/// exactly as per-point [`LinearQuantizer::reconstruct`] would. Callers
-/// must have checked [`codes_regular`] first.
-pub fn reconstruct_block<T: Scalar>(
-    path: KernelPath,
-    spec: &QuantSpec,
-    codes: &[u32],
-    preds: &[f64],
-    out: &mut [T],
-) {
-    let n = codes.len();
-    assert!(n <= BLOCK, "block too large: {n} > {BLOCK}");
-    assert!(preds.len() == n && out.len() == n);
-    let mut recons_f = [0f64; BLOCK];
-    reconstruct_core(path, spec, codes, preds, &mut recons_f[..n]);
-    for k in 0..n {
-        out[k] = T::from_f64(recons_f[k]);
-    }
-}
-
 /// Core contract shared by every path: for lane `k`, when
 /// `|(v-p)/2e| < limit` set `codes[k] = round(scaled) + radius` (always
 /// non-zero) and `recons_f[k] = p + 2e·round(scaled)`; otherwise set
-/// `codes[k] = 0` (NaN/Inf lanes compare false and land here).
-// Safety: each arm checks (statically or dynamically) that the CPU
-// supports the feature the callee was compiled for.
+/// `codes[k] = 0` (NaN/Inf lanes compare false and land here). All four
+/// slices have the same length (checked by [`quantize_block`]).
 #[allow(unsafe_code)]
 fn quantize_core(
     path: KernelPath,
@@ -166,36 +209,14 @@ fn quantize_core(
 ) {
     match path {
         #[cfg(target_arch = "x86_64")]
-        KernelPath::Avx2 if supported(KernelPath::Avx2) => unsafe {
-            x86::quantize_avx2(spec, vals_f, preds, codes, recons_f)
-        },
-        #[cfg(target_arch = "x86_64")]
+        // SAFETY: SSE2 is a baseline feature of x86_64, and the caller
+        // passes slices of one length.
         KernelPath::Sse2 => unsafe { x86::quantize_sse2(spec, vals_f, preds, codes, recons_f) },
         #[cfg(target_arch = "aarch64")]
+        // SAFETY: NEON is a baseline feature of aarch64, and the caller
+        // passes slices of one length.
         KernelPath::Neon => unsafe { neon::quantize_neon(spec, vals_f, preds, codes, recons_f) },
         _ => quantize_scalar(spec, vals_f, preds, codes, recons_f),
-    }
-}
-
-// Safety: as for `quantize_core`.
-#[allow(unsafe_code)]
-fn reconstruct_core(
-    path: KernelPath,
-    spec: &QuantSpec,
-    codes: &[u32],
-    preds: &[f64],
-    recons_f: &mut [f64],
-) {
-    match path {
-        #[cfg(target_arch = "x86_64")]
-        KernelPath::Avx2 if supported(KernelPath::Avx2) => unsafe {
-            x86::reconstruct_avx2(spec, codes, preds, recons_f)
-        },
-        #[cfg(target_arch = "x86_64")]
-        KernelPath::Sse2 => unsafe { x86::reconstruct_sse2(spec, codes, preds, recons_f) },
-        #[cfg(target_arch = "aarch64")]
-        KernelPath::Neon => unsafe { neon::reconstruct_neon(spec, codes, preds, recons_f) },
-        _ => reconstruct_scalar(spec, codes, preds, recons_f),
     }
 }
 
@@ -222,86 +243,22 @@ fn quantize_scalar(
     }
 }
 
-fn reconstruct_scalar(spec: &QuantSpec, codes: &[u32], preds: &[f64], recons_f: &mut [f64]) {
-    for k in 0..codes.len() {
-        let r = codes[k] as f64 - spec.radius_f;
-        recons_f[k] = preds[k] + spec.two_e * r;
-    }
-}
-
-// Vector intrinsics are inherently `unsafe fn`s; the only obligations
-// are slice-bounds (checked by the `k + lanes <= n` loop guards) and
-// CPU support (checked by the dispatchers above before calling in).
+// Vector intrinsics are inherently `unsafe fn`s. The raw loads and
+// stores stay in bounds because every lane index is below
+// `n = vals_f.len()` (the `k + lanes <= n` loop guards) and the other
+// slices are at least that long.
 #[cfg(target_arch = "x86_64")]
 #[allow(unsafe_code)]
 mod x86 {
-    use super::{quantize_scalar, reconstruct_scalar, QuantSpec};
+    use super::{quantize_scalar, QuantSpec};
     use core::arch::x86_64::*;
 
-    /// Collapse a 4×f64 compare mask to a 4×i32 mask (each 64-bit lane
-    /// is all-ones or all-zero; keep the low half of each).
-    #[inline]
-    #[target_feature(enable = "avx2")]
-    unsafe fn mask_pd_to_epi32(m: __m256d) -> __m128i {
-        let mi = _mm256_castpd_si256(m);
-        let lo = _mm256_castsi256_si128(mi);
-        let hi = _mm256_extracti128_si256::<1>(mi);
-        _mm_castps_si128(_mm_shuffle_ps::<0b10_00_10_00>(
-            _mm_castsi128_ps(lo),
-            _mm_castsi128_ps(hi),
-        ))
-    }
-
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn quantize_avx2(
-        spec: &QuantSpec,
-        vals_f: &[f64],
-        preds: &[f64],
-        codes: &mut [u32],
-        recons_f: &mut [f64],
-    ) {
-        let n = vals_f.len();
-        let two_e = _mm256_set1_pd(spec.two_e);
-        let limit = _mm256_set1_pd(spec.limit);
-        let radius = _mm256_set1_pd(spec.radius_f);
-        let half = _mm256_set1_pd(0.5);
-        let neg_half = _mm256_set1_pd(-0.5);
-        let one = _mm256_set1_pd(1.0);
-        let abs_mask = _mm256_castsi256_pd(_mm256_set1_epi64x(i64::MAX));
-        let mut k = 0usize;
-        while k + 4 <= n {
-            let v = _mm256_loadu_pd(vals_f.as_ptr().add(k));
-            let p = _mm256_loadu_pd(preds.as_ptr().add(k));
-            let scaled = _mm256_div_pd(_mm256_sub_pd(v, p), two_e);
-            let in_range = _mm256_cmp_pd::<_CMP_LT_OQ>(_mm256_and_pd(scaled, abs_mask), limit);
-            // round() = half away from zero: trunc, then bump where the
-            // exact fractional part reaches ±0.5.
-            let t = _mm256_round_pd::<{ _MM_FROUND_TO_ZERO | _MM_FROUND_NO_EXC }>(scaled);
-            let frac = _mm256_sub_pd(scaled, t);
-            let bump_pos = _mm256_and_pd(_mm256_cmp_pd::<_CMP_GE_OQ>(frac, half), one);
-            let bump_neg = _mm256_and_pd(_mm256_cmp_pd::<_CMP_LE_OQ>(frac, neg_half), one);
-            let r = _mm256_sub_pd(_mm256_add_pd(t, bump_pos), bump_neg);
-            // code = r + radius is an exact small integer; the f64→i32
-            // conversion is value-preserving on in-range lanes and the
-            // mask zeroes the rest.
-            let code = _mm256_cvtpd_epi32(_mm256_add_pd(r, radius));
-            let masked = _mm_and_si128(code, mask_pd_to_epi32(in_range));
-            _mm_storeu_si128(codes.as_mut_ptr().add(k) as *mut __m128i, masked);
-            // mul then add — no FMA; the scalar reference rounds 2e·q
-            // before the sum.
-            let rec = _mm256_add_pd(p, _mm256_mul_pd(two_e, r));
-            _mm256_storeu_pd(recons_f.as_mut_ptr().add(k), rec);
-            k += 4;
-        }
-        quantize_scalar(
-            spec,
-            &vals_f[k..],
-            &preds[k..],
-            &mut codes[k..],
-            &mut recons_f[k..],
-        );
-    }
-
+    /// SSE2 realization of the core contract.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support SSE2, and `preds`, `codes` and `recons_f`
+    /// must be at least as long as `vals_f`.
     #[target_feature(enable = "sse2")]
     pub(super) unsafe fn quantize_sse2(
         spec: &QuantSpec,
@@ -349,61 +306,21 @@ mod x86 {
             &mut recons_f[k..],
         );
     }
-
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn reconstruct_avx2(
-        spec: &QuantSpec,
-        codes: &[u32],
-        preds: &[f64],
-        recons_f: &mut [f64],
-    ) {
-        let n = codes.len();
-        let two_e = _mm256_set1_pd(spec.two_e);
-        let radius = _mm256_set1_pd(spec.radius_f);
-        let mut k = 0usize;
-        while k + 4 <= n {
-            // Regular codes are < 2^31, so the u32s convert exactly as
-            // non-negative i32s.
-            let c = _mm_loadu_si128(codes.as_ptr().add(k) as *const __m128i);
-            let r = _mm256_sub_pd(_mm256_cvtepi32_pd(c), radius);
-            let p = _mm256_loadu_pd(preds.as_ptr().add(k));
-            let rec = _mm256_add_pd(p, _mm256_mul_pd(two_e, r));
-            _mm256_storeu_pd(recons_f.as_mut_ptr().add(k), rec);
-            k += 4;
-        }
-        reconstruct_scalar(spec, &codes[k..], &preds[k..], &mut recons_f[k..]);
-    }
-
-    #[target_feature(enable = "sse2")]
-    pub(super) unsafe fn reconstruct_sse2(
-        spec: &QuantSpec,
-        codes: &[u32],
-        preds: &[f64],
-        recons_f: &mut [f64],
-    ) {
-        let n = codes.len();
-        let two_e = _mm_set1_pd(spec.two_e);
-        let radius = _mm_set1_pd(spec.radius_f);
-        let mut k = 0usize;
-        while k + 2 <= n {
-            let c = _mm_loadl_epi64(codes.as_ptr().add(k) as *const __m128i);
-            let r = _mm_sub_pd(_mm_cvtepi32_pd(c), radius);
-            let p = _mm_loadu_pd(preds.as_ptr().add(k));
-            let rec = _mm_add_pd(p, _mm_mul_pd(two_e, r));
-            _mm_storeu_pd(recons_f.as_mut_ptr().add(k), rec);
-            k += 2;
-        }
-        reconstruct_scalar(spec, &codes[k..], &preds[k..], &mut recons_f[k..]);
-    }
 }
 
 // See the `x86` module note on `unsafe`; NEON is baseline on aarch64.
 #[cfg(target_arch = "aarch64")]
 #[allow(unsafe_code)]
 mod neon {
-    use super::{quantize_scalar, reconstruct_scalar, QuantSpec};
+    use super::{quantize_scalar, QuantSpec};
     use core::arch::aarch64::*;
 
+    /// NEON realization of the core contract.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support NEON, and `preds`, `codes` and `recons_f`
+    /// must be at least as long as `vals_f`.
     #[target_feature(enable = "neon")]
     pub(super) unsafe fn quantize_neon(
         spec: &QuantSpec,
@@ -440,35 +357,16 @@ mod neon {
             &mut recons_f[k..],
         );
     }
-
-    #[target_feature(enable = "neon")]
-    pub(super) unsafe fn reconstruct_neon(
-        spec: &QuantSpec,
-        codes: &[u32],
-        preds: &[f64],
-        recons_f: &mut [f64],
-    ) {
-        let n = codes.len();
-        let two_e = vdupq_n_f64(spec.two_e);
-        let radius = vdupq_n_f64(spec.radius_f);
-        let mut k = 0usize;
-        while k + 2 <= n {
-            let c = vld1_u32(codes.as_ptr().add(k));
-            let cf = vcvtq_f64_u64(vmovl_u32(c));
-            let r = vsubq_f64(cf, radius);
-            let p = vld1q_f64(preds.as_ptr().add(k));
-            let rec = vaddq_f64(p, vmulq_f64(two_e, r));
-            vst1q_f64(recons_f.as_mut_ptr().add(k), rec);
-            k += 2;
-        }
-        reconstruct_scalar(spec, &codes[k..], &preds[k..], &mut recons_f[k..]);
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::quantizer::LinearQuantizer;
+
+    /// The compiled-in vector path and the scalar reference (the same
+    /// path twice on targets without one).
+    const PATHS: [KernelPath; 2] = [KernelPath::NATIVE, KernelPath::Scalar];
 
     fn check_block_f64(path: KernelPath, q: &LinearQuantizer, vals: &[f64], preds: &[f64]) {
         let spec = QuantSpec::from_quantizer(q).unwrap();
@@ -494,14 +392,6 @@ mod tests {
                 "{path} lane {k}: recon mismatch"
             );
         }
-        if codes_regular(&spec, &codes) {
-            let mut out = vec![0f64; n];
-            reconstruct_block(path, &spec, &codes, preds, &mut out);
-            for k in 0..n {
-                let want: f64 = q.reconstruct(codes[k], preds[k]);
-                assert_eq!(out[k].to_bits(), want.to_bits(), "{path} lane {k}");
-            }
-        }
     }
 
     #[test]
@@ -513,7 +403,7 @@ mod tests {
             let preds: Vec<f64> = (0..n)
                 .map(|i| (i as f64 * 0.37).sin() * 3.0 + 1e-4)
                 .collect();
-            for path in supported_paths() {
+            for path in PATHS {
                 check_block_f64(path, &q, &vals, &preds);
             }
         }
@@ -550,7 +440,7 @@ mod tests {
             0.0,
             0.0,
         ];
-        for path in supported_paths() {
+        for path in PATHS {
             check_block_f64(path, &q, &vals, &preds);
         }
     }
@@ -570,7 +460,7 @@ mod tests {
             3.5,
         ];
         let preds = [0.0; 8];
-        for path in supported_paths() {
+        for path in PATHS {
             check_block_f64(path, &q, &vals, &preds);
         }
     }
@@ -584,7 +474,7 @@ mod tests {
         let vals: Vec<f32> = (0..32).map(|i| 1.0e7f32 + i as f32).collect();
         let preds: Vec<f64> = vals.iter().map(|&v| v as f64 + 3.3e-5).collect();
         let n = vals.len();
-        for path in supported_paths() {
+        for path in PATHS {
             let mut vals_f = vec![0f64; n];
             let mut codes = vec![0u32; n];
             let mut recons = vec![0f32; n];
@@ -617,11 +507,27 @@ mod tests {
     }
 
     #[test]
-    fn codes_regular_flags_zero_and_out_of_range() {
-        let q = LinearQuantizer::with_radius(1.0, 16);
-        let spec = QuantSpec::from_quantizer(&q).unwrap();
-        assert!(codes_regular(&spec, &[1, 16, 31]));
-        assert!(!codes_regular(&spec, &[1, 0, 31]));
-        assert!(!codes_regular(&spec, &[1, 32]));
+    fn selected_is_native_unless_forced() {
+        let forced = std::env::var("QOZ_FORCE_SCALAR").is_ok_and(|v| v == "1");
+        let want = if forced {
+            KernelPath::Scalar
+        } else {
+            KernelPath::NATIVE
+        };
+        assert_eq!(selected(), want);
+        assert_eq!(selected(), selected());
+    }
+
+    #[test]
+    fn names_are_stable() {
+        assert_eq!(KernelPath::Sse2.name(), "sse2");
+        assert_eq!(KernelPath::Neon.name(), "neon");
+        assert_eq!(KernelPath::Scalar.name(), "scalar");
+        assert_eq!(KernelPath::Sse2.to_string(), "sse2");
+    }
+
+    #[test]
+    fn cpu_features_nonempty() {
+        assert!(!cpu_features().is_empty());
     }
 }

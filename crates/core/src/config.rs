@@ -1,40 +1,7 @@
 //! QoZ configuration.
 
-use qoz_codec::simd::KernelPath;
 use qoz_metrics::QualityMetric;
 use qoz_tensor::Shape;
-
-/// How the compressor picks its per-point kernel implementations
-/// (quantizer, interpolation stencils, entropy histogram).
-///
-/// Every path produces bit-identical streams — this knob trades speed
-/// only, never output. [`KernelSelect::Auto`] is the right choice
-/// everywhere except A/B benchmarking and debugging.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum KernelSelect {
-    /// Runtime CPU-feature dispatch: the widest supported vector path
-    /// (AVX2 > SSE2 on x86-64, NEON on aarch64), scalar elsewhere.
-    /// Honours the `QOZ_FORCE_SCALAR=1` environment override.
-    #[default]
-    Auto,
-    /// Pin the scalar reference kernels regardless of CPU features.
-    ForceScalar,
-    /// Pin one specific path. Falls back to scalar if the current CPU
-    /// does not support it.
-    Fixed(KernelPath),
-}
-
-impl KernelSelect {
-    /// Resolve to the concrete kernel path the engine will run.
-    pub fn resolve(self) -> KernelPath {
-        match self {
-            KernelSelect::Auto => qoz_codec::simd::selected(),
-            KernelSelect::ForceScalar => KernelPath::Scalar,
-            KernelSelect::Fixed(path) if qoz_codec::simd::supported(path) => path,
-            KernelSelect::Fixed(_) => KernelPath::Scalar,
-        }
-    }
-}
 
 /// Tuning and structural parameters of the QoZ compressor.
 ///
@@ -67,9 +34,6 @@ pub struct QozConfig {
     /// Explicit `(alpha, beta)` override used when `param_autotuning` is
     /// off (the Fig. 13 fixed-parameter runs).
     pub fixed_params: Option<(f64, f64)>,
-    /// Kernel-path selection for the SIMD hot loops (speed only; output
-    /// bytes are identical on every path).
-    pub kernels: KernelSelect,
 }
 
 impl Default for QozConfig {
@@ -85,7 +49,6 @@ impl Default for QozConfig {
             level_interp_selection: true,
             param_autotuning: true,
             fixed_params: None,
-            kernels: KernelSelect::default(),
         }
     }
 }
@@ -188,24 +151,6 @@ mod tests {
         // 1 (alpha=1) + 4*4 = 17 candidates.
         assert_eq!(c.len(), 17);
         assert_eq!(c.iter().filter(|&&(a, _)| a == 1.0).count(), 1);
-    }
-
-    #[test]
-    fn kernel_select_resolves_to_supported_paths() {
-        // Auto picks whatever runtime dispatch picked.
-        assert_eq!(KernelSelect::Auto.resolve(), qoz_codec::simd::selected());
-        // ForceScalar always pins scalar.
-        assert_eq!(KernelSelect::ForceScalar.resolve(), KernelPath::Scalar);
-        // Fixed resolves to itself when supported, scalar otherwise.
-        for path in qoz_codec::simd::supported_paths() {
-            assert_eq!(KernelSelect::Fixed(path).resolve(), path);
-        }
-        assert_eq!(
-            KernelSelect::Fixed(KernelPath::Scalar).resolve(),
-            KernelPath::Scalar
-        );
-        // Default is Auto: SIMD on by default.
-        assert_eq!(KernelSelect::default(), KernelSelect::Auto);
     }
 
     #[test]

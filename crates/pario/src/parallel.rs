@@ -1,7 +1,7 @@
 //! Thread-parallel per-rank compression.
 //!
 //! Chunks are statically partitioned into contiguous slabs, one per
-//! worker (crossbeam scoped threads — no `'static` bound needed). Each
+//! worker (`std::thread::scope` — no `'static` bound needed). Each
 //! worker owns a disjoint `&mut` slice of the output vector, so results
 //! land in place without any per-chunk locking, and chunk order — the
 //! serial-equals-parallel determinism invariant — is preserved by
@@ -63,9 +63,9 @@ where
     let per = chunks.len().div_ceil(threads);
     let mut results: Vec<Vec<u8>> = vec![Vec::new(); chunks.len()];
 
-    crossbeam::scope(|s| {
+    std::thread::scope(|s| {
         for (out_slab, in_slab) in results.chunks_mut(per).zip(chunks.chunks(per)) {
-            s.spawn(move |_| {
+            s.spawn(move || {
                 // One arena per worker: reused across every chunk of the
                 // slab, byte-identical to the scratchless path.
                 let mut scratch = Scratch::new();
@@ -74,8 +74,7 @@ where
                 }
             });
         }
-    })
-    .expect("compression worker panicked");
+    });
 
     results
 }
@@ -129,9 +128,9 @@ where
     let per = blobs.len().div_ceil(threads);
     let mut results: Vec<Option<Result<NdArray<T>>>> = (0..blobs.len()).map(|_| None).collect();
 
-    crossbeam::scope(|s| {
+    std::thread::scope(|s| {
         for (out_slab, in_slab) in results.chunks_mut(per).zip(blobs.chunks(per)) {
-            s.spawn(move |_| {
+            s.spawn(move || {
                 // One arena per worker, mirroring `compress_chunks`:
                 // the decode slab reuses its stage buffers across every
                 // blob, with values identical to the allocating path.
@@ -141,8 +140,7 @@ where
                 }
             });
         }
-    })
-    .expect("decompression worker panicked");
+    });
 
     results
         .into_iter()

@@ -19,13 +19,12 @@
 pub mod interp;
 pub mod lorenzo;
 pub mod regression;
-pub mod simd;
 pub mod traverse;
 
 pub use interp::{DimOrder, InterpKind, LevelConfig};
 pub use lorenzo::{lorenzo2_predict, lorenzo_predict};
 pub use regression::RegressionModel;
 pub use traverse::{
-    base_point_count, base_stride, for_each_base_point, level_point_count, max_level,
+    base_point_count, base_stride, fill_preds, for_each_base_point, level_point_count, max_level,
     traverse_level, traverse_level_runs, LineRun, RunSink, RunStencil,
 };

@@ -387,12 +387,57 @@ pub struct LineRun {
     pub stencil: RunStencil,
 }
 
+/// Fill `preds[k]` with the stencil prediction for the point at
+/// `run.off0 + k*run.step`, for `k < preds.len()`.
+///
+/// `preds.len()` may be shorter than `run.cnt` (callers chunk long runs
+/// into blocks; pass a shifted `off0` for later chunks). The stencil
+/// expressions are exactly those of the per-point line kernels above, so
+/// the predictions are bit-identical to [`traverse_level`]'s.
+pub fn fill_preds<T: Scalar>(data: &[T], run: &LineRun, preds: &mut [f64]) {
+    let (d1, d3) = (run.d1, run.d3);
+    let mut off = run.off0;
+    match run.stencil {
+        RunStencil::CopyLeft => {
+            for p in preds.iter_mut() {
+                *p = data[off - d1].to_f64();
+                off += run.step;
+            }
+        }
+        RunStencil::Interp(InterpKind::Linear) => {
+            for p in preds.iter_mut() {
+                *p = (data[off - d1].to_f64() + data[off + d1].to_f64()) * 0.5;
+                off += run.step;
+            }
+        }
+        RunStencil::Interp(InterpKind::Cubic) => {
+            for p in preds.iter_mut() {
+                *p = (-data[off - d3].to_f64()
+                    + 9.0 * data[off - d1].to_f64()
+                    + 9.0 * data[off + d1].to_f64()
+                    - data[off + d3].to_f64())
+                    / 16.0;
+                off += run.step;
+            }
+        }
+        RunStencil::Interp(InterpKind::Quadratic) => {
+            for p in preds.iter_mut() {
+                *p = (-data[off - d3].to_f64()
+                    + 6.0 * data[off - d1].to_f64()
+                    + 3.0 * data[off + d1].to_f64())
+                    / 8.0;
+                off += run.step;
+            }
+        }
+    }
+}
+
 /// Consumer of the run-granular traversal [`traverse_level_runs`].
 ///
 /// `point` receives boundary points one at a time with their prediction
 /// already computed (via the degrading [`predict_line`]); `run` receives
-/// interior segments and computes predictions itself (typically with the
-/// vectorized stencils in [`crate::simd`]). Both must write the
+/// interior segments and computes predictions itself (typically with
+/// [`fill_preds`], block by block). Both must write the
 /// reconstruction into `data` before returning, exactly like the
 /// [`traverse_level`] callback.
 pub trait RunSink<T: Scalar> {
@@ -408,7 +453,7 @@ pub trait RunSink<T: Scalar> {
 /// kernels can process them lane-parallel. With a sink that evaluates
 /// each run point-by-point left to right, the `(offset, prediction)`
 /// sequence is exactly that of [`traverse_level`] (bit-for-bit; the
-/// equivalence is asserted by `tests/simd_kernels.rs`).
+/// equivalence is asserted by this module's tests).
 pub fn traverse_level_runs<T: Scalar>(
     data: &mut [T],
     shape: Shape,
@@ -809,13 +854,12 @@ mod tests {
 
     /// Run-granular traversal with a block sink must reproduce the exact
     /// `(offset, prediction)` sequence of the per-point traversal — the
-    /// contract the fused engine paths stand on.
+    /// contract the engine's compress sink stands on.
     #[test]
     fn run_traversal_matches_per_point_on_all_paths() {
-        use crate::simd::{fill_preds, supported_paths, KernelPath, BLOCK};
+        const BLOCK: usize = 64;
 
         struct RecSink {
-            path: KernelPath,
             seq: Vec<(usize, u64)>,
         }
         impl RunSink<f64> for RecSink {
@@ -832,7 +876,7 @@ mod tests {
                         off0: run.off0 + done * run.step,
                         ..*run
                     };
-                    fill_preds(self.path, data, &chunk, &mut preds[..m]);
+                    fill_preds(data, &chunk, &mut preds[..m]);
                     let mut off = chunk.off0;
                     for &p in &preds[..m] {
                         self.seq.push((off, p.to_bits()));
@@ -863,24 +907,122 @@ mod tests {
                         want.push((off, pred.to_bits()));
                         d[off] = pred * 0.5 + 1.0;
                     });
-                    for path in supported_paths() {
-                        let mut data: Vec<f64> = (0..shape.len()).map(init).collect();
-                        let mut sink = RecSink {
-                            path,
-                            seq: Vec::new(),
-                        };
-                        traverse_level_runs(&mut data, shape, level, cfg, &mut sink);
-                        assert_eq!(
-                            sink.seq, want,
-                            "sequence diverged: {shape:?} level {level} {cfg:?} {path}"
-                        );
-                        assert_eq!(
-                            data, want_data,
-                            "buffer diverged: {shape:?} level {level} {cfg:?} {path}"
-                        );
-                    }
+                    let mut data: Vec<f64> = (0..shape.len()).map(init).collect();
+                    let mut sink = RecSink { seq: Vec::new() };
+                    traverse_level_runs(&mut data, shape, level, cfg, &mut sink);
+                    assert_eq!(
+                        sink.seq, want,
+                        "sequence diverged: {shape:?} level {level} {cfg:?}"
+                    );
+                    assert_eq!(
+                        data, want_data,
+                        "buffer diverged: {shape:?} level {level} {cfg:?}"
+                    );
                 }
             }
+        }
+    }
+
+    /// The stencil formulas evaluated in f64, as bit patterns.
+    fn stencil_expected(data: &[f64], run: &LineRun, n: usize) -> Vec<u64> {
+        let mut off = run.off0;
+        (0..n)
+            .map(|_| {
+                let (a, b) = (off - run.d3, off - run.d1);
+                let (c, d) = (off + run.d1, off + run.d3);
+                let p = match run.stencil {
+                    RunStencil::CopyLeft => data[b],
+                    RunStencil::Interp(InterpKind::Linear) => (data[b] + data[c]) * 0.5,
+                    RunStencil::Interp(InterpKind::Cubic) => {
+                        (-data[a] + 9.0 * data[b] + 9.0 * data[c] - data[d]) / 16.0
+                    }
+                    RunStencil::Interp(InterpKind::Quadratic) => {
+                        (-data[a] + 6.0 * data[b] + 3.0 * data[c]) / 8.0
+                    }
+                };
+                off += run.step;
+                p.to_bits()
+            })
+            .collect()
+    }
+
+    /// Irregular values with a few exact zeros and sign flips to
+    /// exercise the negation.
+    fn stencil_data() -> Vec<f64> {
+        (0..600)
+            .map(|i| {
+                if i % 97 == 0 {
+                    0.0
+                } else {
+                    ((i as f64) * 0.618).sin() * 1e3 * if i % 2 == 0 { 1.0 } else { -1.0 }
+                }
+            })
+            .collect()
+    }
+
+    /// Every stencil, stride geometry and run length.
+    fn stencil_runs() -> Vec<LineRun> {
+        let stencils = [
+            RunStencil::Interp(InterpKind::Linear),
+            RunStencil::Interp(InterpKind::Cubic),
+            RunStencil::Interp(InterpKind::Quadratic),
+            RunStencil::CopyLeft,
+        ];
+        let mut runs = Vec::new();
+        for stencil in stencils {
+            for (step, d1, d3) in [(2usize, 1usize, 3usize), (1, 7, 21), (5, 2, 6), (4, 2, 6)] {
+                for n in [1usize, 2, 3, 4, 5, 8, 13, 64] {
+                    runs.push(LineRun {
+                        off0: 30,
+                        step,
+                        cnt: n,
+                        d1,
+                        d3,
+                        stencil,
+                    });
+                }
+            }
+        }
+        runs
+    }
+
+    /// `fill_preds` on f64 inputs against the stencil formulas.
+    #[test]
+    fn fill_preds_matches_stencil_formulas() {
+        let data = stencil_data();
+        for run in stencil_runs() {
+            let n = run.cnt;
+            let mut preds = vec![0f64; n];
+            fill_preds(&data, &run, &mut preds);
+            let got: Vec<u64> = preds.iter().map(|p| p.to_bits()).collect();
+            assert_eq!(
+                got,
+                stencil_expected(&data, &run, n),
+                "{:?} step={} n={n}",
+                run.stencil,
+                run.step
+            );
+        }
+    }
+
+    /// `fill_preds` on f32 inputs widens each neighbour to f64 before
+    /// combining, so it matches the formulas on the widened data.
+    #[test]
+    fn fill_preds_widens_f32_before_combining() {
+        let data32: Vec<f32> = stencil_data().iter().map(|&v| v as f32).collect();
+        let wide32: Vec<f64> = data32.iter().map(|&v| v as f64).collect();
+        for run in stencil_runs() {
+            let n = run.cnt;
+            let mut preds = vec![0f64; n];
+            fill_preds(&data32, &run, &mut preds);
+            let got: Vec<u64> = preds.iter().map(|p| p.to_bits()).collect();
+            assert_eq!(
+                got,
+                stencil_expected(&wide32, &run, n),
+                "f32 {:?} step={} n={n}",
+                run.stencil,
+                run.step
+            );
         }
     }
 

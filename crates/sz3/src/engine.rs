@@ -17,22 +17,16 @@
 //! online tuner needs — so trial compressions cost a single pass.
 
 use crate::spec::InterpSpec;
-use qoz_codec::simd::{
-    codes_regular, quantize_block, reconstruct_block, KernelPath, QuantSpec, BLOCK,
-};
+use qoz_codec::simd::{quantize_block, KernelPath, QuantSpec, BLOCK};
 use qoz_codec::stream::{self, Header};
 use qoz_codec::{ByteReader, ByteWriter, CodecError, LinearQuantizer, Result, Scratch};
-use qoz_predict::simd::fill_preds;
 use qoz_predict::{
-    base_stride, for_each_base_point, traverse_level, traverse_level_runs, LineRun, RunSink,
+    base_stride, fill_preds, for_each_base_point, traverse_level, traverse_level_runs, LineRun,
+    RunSink,
 };
 use qoz_tensor::{NdArray, Scalar, Shape};
 
-// The engine stages quantizer and stencil blocks in the same stack
-// buffers, so the two kernel layers must agree on the block size.
-const _: () = assert!(BLOCK == qoz_predict::simd::BLOCK);
-
-/// Publish the kernel path the engine dispatches to as the
+/// Publish the kernel path the compress engine runs as the
 /// `qoz_kernel_path` gauge (1 on the active path, 0 on the others), so
 /// a daemon silently running the scalar fallback is visible in
 /// `qoz remote stats`. Only re-published when the path changes.
@@ -42,12 +36,7 @@ fn note_kernel_path(path: KernelPath) {
     if LAST.swap(path as u8, Ordering::Relaxed) == path as u8 {
         return;
     }
-    for p in [
-        KernelPath::Avx2,
-        KernelPath::Sse2,
-        KernelPath::Neon,
-        KernelPath::Scalar,
-    ] {
+    for p in [KernelPath::Sse2, KernelPath::Neon, KernelPath::Scalar] {
         qoz_telemetry::global()
             .gauge("qoz_kernel_path", &[("path", p.name())])
             .set(u64::from(p == path));
@@ -145,9 +134,9 @@ pub fn compress_with_spec_into<T: Scalar>(
 }
 
 /// [`compress_with_spec_into`] with an explicit kernel path instead of
-/// the process-wide selection — the hook for `QozConfig`-level kernel
-/// pinning and for the scalar-vs-vector equivalence tests. Output is
-/// bit-identical across paths.
+/// the process-wide [`qoz_codec::simd::selected`] — the seam the
+/// scalar-vs-vector equivalence tests drive. Output is bit-identical
+/// across paths.
 pub fn compress_with_spec_path<T: Scalar>(
     data: &NdArray<T>,
     spec: &InterpSpec,
@@ -194,9 +183,9 @@ pub fn compress_with_spec_path<T: Scalar>(
     for level in (1..=spec.max_level).rev() {
         let q = LinearQuantizer::with_radius(spec.eb_of(level), spec.quant_radius);
         let cfg = spec.config_of(level);
-        // Vector paths go through the run-granular traversal; the scalar
-        // path (and radii beyond the vector kernels' range) keeps the
-        // original per-point loop verbatim as reference and fallback.
+        // The vector path goes through the run-granular traversal; the
+        // scalar path (and radii beyond the vector kernel's range) keeps
+        // the original per-point loop verbatim as reference and fallback.
         let fused = if path == KernelPath::Scalar {
             None
         } else {
@@ -241,7 +230,7 @@ pub fn compress_with_spec_path<T: Scalar>(
     stats
 }
 
-/// Compress-side block sink for the vector paths: per chunk, fill the
+/// Compress-side block sink for the vector path: per chunk, fill the
 /// stencil predictions, quantize lane-parallel, then run the ordered
 /// scalar epilogue (tuner statistics, unpredictable side stream, store
 /// of reconstructions). Per-point results — and the order of every
@@ -284,7 +273,7 @@ impl<T: Scalar> RunSink<T> for CompressSink<'_> {
                 off0: run.off0 + done * run.step,
                 ..*run
             };
-            fill_preds(self.path, data, &chunk, &mut preds[..m]);
+            fill_preds(data, &chunk, &mut preds[..m]);
             if run.step == 1 {
                 vals[..m].copy_from_slice(&data[chunk.off0..chunk.off0 + m]);
             } else {
@@ -400,19 +389,6 @@ pub fn read_stream_into<T: Scalar>(
     scratch: &mut Scratch<T>,
     out: &mut NdArray<T>,
 ) -> Result<()> {
-    read_stream_into_path(r, header, scratch, out, qoz_codec::simd::selected())
-}
-
-/// [`read_stream_into`] with an explicit kernel path (see
-/// [`compress_with_spec_path`]); decoded values are identical on every
-/// path.
-pub fn read_stream_into_path<T: Scalar>(
-    r: &mut ByteReader,
-    header: &Header,
-    scratch: &mut Scratch<T>,
-    out: &mut NdArray<T>,
-    path: KernelPath,
-) -> Result<()> {
     let spec = InterpSpec::read(r, header.shape)?;
     qoz_codec::decode_bins_with(
         r.get_len_prefixed()?,
@@ -429,14 +405,13 @@ pub fn read_stream_into_path<T: Scalar>(
         &mut scratch.entropy,
         &mut scratch.anchors,
     )?;
-    if decompress_with_spec_path(
+    if decompress_with_spec_into(
         header.shape,
         &spec,
         &scratch.bins,
         &scratch.unpred,
         &scratch.anchors,
         out,
-        path,
     )? {
         scratch.grows.bump();
     }
@@ -470,31 +445,6 @@ pub fn decompress_with_spec_into<T: Scalar>(
     anchors: &[u8],
     out: &mut NdArray<T>,
 ) -> Result<bool> {
-    decompress_with_spec_path(
-        shape,
-        spec,
-        bins,
-        unpred,
-        anchors,
-        out,
-        qoz_codec::simd::selected(),
-    )
-}
-
-/// [`decompress_with_spec_into`] with an explicit kernel path (see
-/// [`compress_with_spec_path`]). Reconstructions are bit-identical
-/// across paths.
-#[allow(clippy::too_many_arguments)]
-pub fn decompress_with_spec_path<T: Scalar>(
-    shape: Shape,
-    spec: &InterpSpec,
-    bins: &[u32],
-    unpred: &[u8],
-    anchors: &[u8],
-    out: &mut NdArray<T>,
-    path: KernelPath,
-) -> Result<bool> {
-    note_kernel_path(path);
     let grew = out.reset_zeros(shape);
     let work = out;
     let mut bin_pos = 0usize;
@@ -551,55 +501,35 @@ pub fn decompress_with_spec_path<T: Scalar>(
     for level in (1..=spec.max_level).rev() {
         let q = LinearQuantizer::with_radius(spec.eb_of(level), spec.quant_radius);
         let cfg = spec.config_of(level);
-        // Same dispatch rule as the compress side; either path consumes
-        // the identical code sequence and produces identical bits.
-        let fused = if path == KernelPath::Scalar {
-            None
-        } else {
-            QuantSpec::from_quantizer(&q)
-        };
-        if let Some(qs) = fused {
-            let mut sink = DecompressSink {
-                q: &q,
-                qs,
-                path,
-                bins,
-                bin_pos: &mut bin_pos,
-                unpred_r: &mut unpred_r,
-                failed: &mut failed,
-            };
-            traverse_level_runs(work.as_mut_slice(), shape, level, cfg, &mut sink);
-        } else {
-            traverse_level(
-                work.as_mut_slice(),
-                shape,
-                level,
-                cfg,
-                &mut |buf, off, pred| {
-                    if failed.is_some() {
+        traverse_level(
+            work.as_mut_slice(),
+            shape,
+            level,
+            cfg,
+            &mut |buf, off, pred| {
+                if failed.is_some() {
+                    return;
+                }
+                let code = match bins.get(bin_pos) {
+                    Some(&c) => c,
+                    None => {
+                        failed = Some(CodecError::UnexpectedEof);
                         return;
                     }
-                    let code = match bins.get(bin_pos) {
-                        Some(&c) => c,
-                        None => {
-                            failed = Some(CodecError::UnexpectedEof);
-                            return;
-                        }
-                    };
-                    bin_pos += 1;
-                    if code == 0 {
-                        match unpred_r.get_bytes(T::BYTES) {
-                            Ok(b) => buf[off] = T::from_le_slice(b),
-                            Err(e) => failed = Some(e),
-                        }
-                    } else if code >= q.num_codes() {
-                        failed = Some(CodecError::Corrupt("bin code out of range"));
-                    } else {
-                        buf[off] = q.reconstruct(code, pred);
+                };
+                bin_pos += 1;
+                if code == 0 {
+                    match unpred_r.get_bytes(T::BYTES) {
+                        Ok(b) => buf[off] = T::from_le_slice(b),
+                        Err(e) => failed = Some(e),
                     }
-                },
-            );
-        }
+                } else if code >= q.num_codes() {
+                    failed = Some(CodecError::Corrupt("bin code out of range"));
+                } else {
+                    buf[off] = q.reconstruct(code, pred);
+                }
+            },
+        );
         if let Some(e) = failed {
             return Err(e);
         }
@@ -609,94 +539,6 @@ pub fn decompress_with_spec_path<T: Scalar>(
         return Err(CodecError::Corrupt("trailing quantization bins"));
     }
     Ok(grew)
-}
-
-/// Decompress-side block sink for the vector paths. Chunks whose codes
-/// are all regular reconstruct lane-parallel; a chunk containing an
-/// unpredictable (code 0), an out-of-range code, or the tail of a
-/// truncated bin stream falls back to the per-point logic of the scalar
-/// closure, preserving the exact-value side-stream read order and the
-/// error semantics.
-struct DecompressSink<'a, 'u> {
-    q: &'a LinearQuantizer,
-    qs: QuantSpec,
-    path: KernelPath,
-    bins: &'a [u32],
-    bin_pos: &'a mut usize,
-    unpred_r: &'a mut ByteReader<'u>,
-    failed: &'a mut Option<CodecError>,
-}
-
-impl<T: Scalar> RunSink<T> for DecompressSink<'_, '_> {
-    fn point(&mut self, data: &mut [T], off: usize, pred: f64) {
-        if self.failed.is_some() {
-            return;
-        }
-        let code = match self.bins.get(*self.bin_pos) {
-            Some(&c) => c,
-            None => {
-                *self.failed = Some(CodecError::UnexpectedEof);
-                return;
-            }
-        };
-        *self.bin_pos += 1;
-        if code == 0 {
-            match self.unpred_r.get_bytes(T::BYTES) {
-                Ok(b) => data[off] = T::from_le_slice(b),
-                Err(e) => *self.failed = Some(e),
-            }
-        } else if code >= self.q.num_codes() {
-            *self.failed = Some(CodecError::Corrupt("bin code out of range"));
-        } else {
-            data[off] = self.q.reconstruct(code, pred);
-        }
-    }
-
-    fn run(&mut self, data: &mut [T], run: &LineRun) {
-        let mut preds = [0f64; BLOCK];
-        let mut recons = [T::zero(); BLOCK];
-        let mut done = 0usize;
-        while done < run.cnt {
-            if self.failed.is_some() {
-                return;
-            }
-            let m = (run.cnt - done).min(BLOCK);
-            let chunk = LineRun {
-                off0: run.off0 + done * run.step,
-                ..*run
-            };
-            fill_preds(self.path, data, &chunk, &mut preds[..m]);
-            let pos = *self.bin_pos;
-            let regular = self
-                .bins
-                .get(pos..pos + m)
-                .is_some_and(|c| codes_regular(&self.qs, c));
-            if regular {
-                let codes = &self.bins[pos..pos + m];
-                *self.bin_pos = pos + m;
-                reconstruct_block(self.path, &self.qs, codes, &preds[..m], &mut recons[..m]);
-                if run.step == 1 {
-                    data[chunk.off0..chunk.off0 + m].copy_from_slice(&recons[..m]);
-                } else {
-                    let mut off = chunk.off0;
-                    for &r in &recons[..m] {
-                        data[off] = r;
-                        off += run.step;
-                    }
-                }
-            } else {
-                let mut off = chunk.off0;
-                for &pred in &preds[..m] {
-                    self.point(data, off, pred);
-                    if self.failed.is_some() {
-                        return;
-                    }
-                    off += run.step;
-                }
-            }
-            done += m;
-        }
-    }
 }
 
 #[cfg(test)]

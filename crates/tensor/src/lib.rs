@@ -19,7 +19,6 @@ pub mod region;
 pub mod sample;
 pub mod scalar;
 pub mod shape;
-pub mod simd;
 
 pub use array::NdArray;
 pub use region::Region;

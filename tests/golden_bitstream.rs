@@ -164,3 +164,58 @@ fn warm_pipeline_streams_match_cold_golden() {
         );
     }
 }
+
+/// The baselines share the codec substrate (`ByteWriter`, Huffman, LZSS
+/// and the stream container) with SZ3/QoZ, so their streams are pinned
+/// too: a change to the shared byte I/O that only SZ2, ZFP or MGARD
+/// exercises fails here. Every case is computed before asserting so one
+/// failure reports all drifted pins.
+fn check_baselines(cases: [(&str, Dataset, f64, usize, u64); 3], wide: bool) {
+    let mut drifted = Vec::new();
+    for (name, ds, eps, len, hash) in cases {
+        let got = match (name, wide) {
+            ("sz2", false) => golden_case(&qoz_suite::sz2::Sz2::default(), ds, eps),
+            ("zfp", false) => golden_case(&qoz_suite::zfp::Zfp, ds, eps),
+            ("mgard", false) => golden_case(&qoz_suite::mgard::Mgard, ds, eps),
+            ("sz2", true) => golden_case_f64(&qoz_suite::sz2::Sz2::default(), ds, eps),
+            ("zfp", true) => golden_case_f64(&qoz_suite::zfp::Zfp, ds, eps),
+            ("mgard", true) => golden_case_f64(&qoz_suite::mgard::Mgard, ds, eps),
+            _ => unreachable!("unknown baseline {name}"),
+        };
+        if got != (len, hash) {
+            drifted.push(format!(
+                "{name} {ds:?} eps={eps:e}: got ({}, {:#x})",
+                got.0, got.1
+            ));
+        }
+    }
+    let width = if wide { "f64" } else { "f32" };
+    assert!(
+        drifted.is_empty(),
+        "{width} baseline streams changed: {drifted:#?}"
+    );
+}
+
+#[test]
+fn baseline_streams_are_byte_identical_to_seed() {
+    check_baselines(
+        [
+            ("sz2", Dataset::Miranda, 1e-3, 14018, 0x4aab33d731f29303),
+            ("zfp", Dataset::CesmAtm, 1e-3, 11694, 0x60ea15609ff2dbf4),
+            ("mgard", Dataset::Hurricane, 1e-2, 12325, 0x115403e6e3c86936),
+        ],
+        false,
+    );
+}
+
+#[test]
+fn baseline_f64_streams_are_byte_identical_to_seed() {
+    check_baselines(
+        [
+            ("sz2", Dataset::Miranda, 1e-3, 14010, 0xf42b67493cfcfa0e),
+            ("zfp", Dataset::CesmAtm, 1e-3, 11694, 0x151afe76dabb34b2),
+            ("mgard", Dataset::Hurricane, 1e-2, 12325, 0x1418c90bf3a5b5b8),
+        ],
+        true,
+    );
+}

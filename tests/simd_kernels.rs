@@ -1,24 +1,24 @@
-//! Scalar-vs-SIMD kernel equivalence suite.
+//! Scalar-vs-vector kernel equivalence suite.
 //!
-//! The vectorized hot loops (linear-scale quantizer, fused
-//! interpolation stencils, Huffman histogramming) carry a hard
-//! contract: **bit-identical output on every dispatch path**. These
-//! tests check the contract at three layers — kernel blocks against the
-//! scalar oracle under proptest (all lane widths, odd tails, f32 + f64,
-//! unpredictable-heavy inputs), the whole engine byte-for-byte across
-//! paths, and the golden-bitstream pins re-asserted under every
-//! supported path via the `KernelSelect` config knob. The CI
-//! `test-scalar` job runs this same suite with `QOZ_FORCE_SCALAR=1`, so
-//! both the env override and the dispatched path are covered.
+//! The one vectorized hot loop, the compress-side block quantizer, runs
+//! on the ISA fixed at compile time (SSE2 on x86_64, NEON on aarch64)
+//! and carries a hard contract: **bit-identical output to the scalar
+//! reference**. These tests check the contract at three layers — kernel
+//! blocks against the scalar oracle under proptest (all lane widths,
+//! odd tails, f32 + f64, unpredictable-heavy inputs), the whole QoZ
+//! stream byte-for-byte on both paths through the engine's explicit
+//! path seam, and the golden-bitstream pins re-asserted on both paths.
+//! The CI `test-scalar` job runs this same suite with
+//! `QOZ_FORCE_SCALAR=1`, so both the env override and the compiled-in
+//! path are covered.
 
 use proptest::prelude::*;
-use qoz_suite::codec::huffman::dense_counts;
-use qoz_suite::codec::simd::{quantize_block, supported_paths, KernelPath, QuantSpec, BLOCK};
-use qoz_suite::codec::{Compressor, ErrorBound, LinearQuantizer};
+use qoz_suite::codec::simd::{quantize_block, KernelPath, QuantSpec, BLOCK};
+use qoz_suite::codec::stream::{CompressorId, Header};
+use qoz_suite::codec::{Compressor, ErrorBound, LinearQuantizer, Scratch};
 use qoz_suite::datagen::{Dataset, SizeClass};
-use qoz_suite::predict::simd::fill_preds;
-use qoz_suite::predict::{InterpKind, LineRun, RunStencil};
-use qoz_suite::qoz::{KernelSelect, Qoz, QozConfig};
+use qoz_suite::qoz::Qoz;
+use qoz_suite::sz3::engine;
 use qoz_suite::tensor::{NdArray, Scalar};
 
 /// FNV-1a, 64-bit — same pinning hash as `golden_bitstream.rs`.
@@ -31,17 +31,42 @@ fn fnv1a(bytes: &[u8]) -> u64 {
     h
 }
 
-fn qoz_with(kernels: KernelSelect) -> Qoz {
-    Qoz::new(QozConfig {
-        kernels,
-        ..QozConfig::default()
-    })
+/// The compiled-in vector path and the scalar reference (the same path
+/// twice on targets without a vector kernel).
+const PATHS: [KernelPath; 2] = [KernelPath::NATIVE, KernelPath::Scalar];
+
+/// A default QoZ stream whose engine pass runs on `path`: the tuned plan
+/// and the stream assembly of `Qoz::compress`, with the kernel pinned.
+/// Also returns the compress-side reconstruction, which the decoder
+/// must reproduce bit-for-bit.
+fn qoz_stream<T: Scalar>(path: KernelPath, data: &NdArray<T>, eps: f64) -> (Vec<u8>, Vec<T>) {
+    let plan = Qoz::default().plan(data, ErrorBound::Rel(eps));
+    let mut scratch = Scratch::new();
+    engine::compress_with_spec_path(data, &plan.spec, &mut scratch, path);
+    let recon = scratch.work.clone();
+    let header = Header {
+        compressor: CompressorId::Qoz,
+        scalar_tag: T::TYPE_TAG,
+        shape: data.shape(),
+        abs_eb: plan.abs_eb,
+        temporal: None,
+    };
+    (
+        engine::write_stream(&header, &plan.spec, &mut scratch),
+        recon,
+    )
 }
 
-/// Every path worth testing on this machine: each supported SIMD path
-/// plus the scalar reference (always last in `supported_paths`).
-fn paths() -> Vec<KernelPath> {
-    supported_paths()
+fn wide_field(ds: Dataset) -> NdArray<f64> {
+    let f = ds.generate(SizeClass::Tiny, 0);
+    NdArray::from_vec(f.shape(), f.as_slice().iter().map(|&v| v as f64).collect())
+}
+
+fn same_bits<T: Scalar>(a: &[T], b: &[T]) -> bool {
+    a.len() == b.len()
+        && a.iter()
+            .zip(b)
+            .all(|(x, y)| x.to_f64().to_bits() == y.to_f64().to_bits())
 }
 
 // ---------------------------------------------------------------------------
@@ -112,10 +137,9 @@ proptest! {
     // Bounded and reproducible, like the tier-1 roundtrip properties.
     #![proptest_config(ProptestConfig::with_cases(48).with_rng_seed(0x51_C0DE))]
 
-    /// Quantizer blocks: every supported path must agree bit-for-bit
-    /// with the per-point scalar quantizer on codes AND
-    /// reconstructions, for f64 and the narrowing f32 case, on odd
-    /// tail lengths.
+    /// Quantizer blocks: both paths must agree bit-for-bit with the
+    /// per-point scalar quantizer on codes AND reconstructions, for f64
+    /// and the narrowing f32 case, on odd tail lengths.
     #[test]
     fn quantize_block_matches_scalar_oracle(
         vp in (1usize..3 * BLOCK + 6).prop_flat_map(quant_inputs),
@@ -126,7 +150,7 @@ proptest! {
         let q = LinearQuantizer::new(eb);
         let spec = QuantSpec::from_quantizer(&q).expect("default radius fits SIMD");
 
-        // Scalar oracle: the pre-SIMD per-point quantizer.
+        // Scalar oracle: the per-point quantizer.
         let oracle: Vec<(u32, u64)> = vals
             .iter()
             .zip(&preds)
@@ -145,7 +169,7 @@ proptest! {
             .collect();
 
         let vals32: Vec<f32> = vals.iter().map(|&v| v as f32).collect();
-        for path in paths() {
+        for path in PATHS {
             let (codes, recons) = quantize_via(path, &spec, &vals, &preds);
             for k in 0..n {
                 prop_assert!(
@@ -166,123 +190,45 @@ proptest! {
             }
         }
     }
-
-    /// Stencil runs: every path's `fill_preds` must reproduce the
-    /// scalar path bit-for-bit for each stencil variant, stride
-    /// geometry, and odd run length.
-    #[test]
-    fn fill_preds_matches_scalar_on_all_stencils(
-        data in proptest::collection::vec(
-            prop_oneof![6 => -1e6f64..1e6f64, 1 => -1.0f64..1.0],
-            64..700,
-        ),
-        s in 1usize..4,
-        cnt in 1usize..BLOCK + 1,
-        kind in prop_oneof![
-            Just(RunStencil::Interp(InterpKind::Linear)),
-            Just(RunStencil::Interp(InterpKind::Cubic)),
-            Just(RunStencil::Interp(InterpKind::Quadratic)),
-            Just(RunStencil::CopyLeft),
-        ],
-    ) {
-        // Interior-run geometry: step 2s, neighbours at ±s and ±3s.
-        // Clamp the run so every gather stays in bounds.
-        let d3 = 3 * s;
-        let max_cnt = (data.len() - 1 - 2 * d3) / (2 * s) + 1;
-        let cnt = cnt.min(max_cnt);
-        let run = LineRun {
-            off0: d3,
-            step: 2 * s,
-            cnt,
-            d1: s,
-            d3,
-            stencil: kind,
-        };
-        let mut want = vec![0f64; cnt];
-        fill_preds(KernelPath::Scalar, &data, &run, &mut want);
-        for path in paths() {
-            let mut got = vec![1f64; cnt];
-            fill_preds(path, &data, &run, &mut got);
-            for k in 0..cnt {
-                prop_assert!(
-                    got[k].to_bits() == want[k].to_bits(),
-                    "{:?} lane {k} diverged on {path}: got {}, want {}",
-                    run.stencil,
-                    got[k],
-                    want[k]
-                );
-            }
-        }
-    }
-
-    /// Histogramming: the split-table count is exactly the naive count
-    /// for arbitrary symbol streams (run-heavy by construction of the
-    /// strategy weights).
-    #[test]
-    fn split_histogram_matches_naive(
-        symbols in proptest::collection::vec(
-            prop_oneof![5 => Just(77u32), 3 => 0u32..256, 1 => 0u32..70_000],
-            0..10_000,
-        ),
-    ) {
-        let max = symbols.iter().max().copied().unwrap_or(0) as usize;
-        let mut split = Vec::new();
-        let mut naive = Vec::new();
-        dense_counts(&symbols, max, &mut split, true);
-        dense_counts(&symbols, max, &mut naive, false);
-        prop_assert_eq!(&split[..max + 1], &naive[..max + 1]);
-    }
 }
 
 // ---------------------------------------------------------------------------
-// Whole-engine byte equality across paths
+// Whole-stream byte equality across paths
 // ---------------------------------------------------------------------------
 
-/// A full compress on every supported path must emit the same bytes as
-/// the scalar path, and every blob must decode to the same bits under
-/// every decode path.
+/// A full compress on the vector path must emit the same bytes as the
+/// scalar path, and the (single, per-point) decoder must reproduce the
+/// compress-side reconstruction of either path bit-for-bit.
 #[test]
 fn engine_streams_identical_on_every_path() {
     for ds in [Dataset::Miranda, Dataset::CesmAtm, Dataset::Hurricane] {
         let data = ds.generate(SizeClass::Tiny, 0);
-        let scalar = qoz_with(KernelSelect::ForceScalar);
-        let want: Vec<u8> = scalar.compress(&data, ErrorBound::Rel(1e-3));
-        let want_recon: NdArray<f32> = scalar.decompress(&want).unwrap();
-        for path in paths() {
-            let c = qoz_with(KernelSelect::Fixed(path));
-            let blob: Vec<u8> = c.compress(&data, ErrorBound::Rel(1e-3));
+        let (want, _) = qoz_stream(KernelPath::Scalar, &data, 1e-3);
+        for path in PATHS {
+            let (blob, recon) = qoz_stream(path, &data, 1e-3);
             assert_eq!(blob, want, "{ds:?}: compress bytes diverged on {path}");
-            let recon: NdArray<f32> = c.decompress(&blob).unwrap();
-            let same = recon
-                .as_slice()
-                .iter()
-                .zip(want_recon.as_slice())
-                .all(|(a, b)| a.to_bits() == b.to_bits());
-            assert!(same, "{ds:?}: decode bits diverged on {path}");
+            let decoded: NdArray<f32> = Qoz::default().decompress(&blob).unwrap();
+            assert!(
+                same_bits(decoded.as_slice(), &recon),
+                "{ds:?}: decode diverged from the {path} compress-side reconstruction"
+            );
         }
     }
 }
 
 /// The same contract for the f64 engine (8-byte unpredictable records,
-/// wider loads in every kernel).
+/// wider loads in the kernel).
 #[test]
 fn engine_streams_identical_on_every_path_f64() {
-    let f = Dataset::Miranda.generate(SizeClass::Tiny, 0);
-    let data = NdArray::from_vec(f.shape(), f.as_slice().iter().map(|&v| v as f64).collect());
-    let scalar = qoz_with(KernelSelect::ForceScalar);
-    let want: Vec<u8> = scalar.compress(&data, ErrorBound::Rel(1e-3));
-    for path in paths() {
-        let c = qoz_with(KernelSelect::Fixed(path));
-        let blob: Vec<u8> = c.compress(&data, ErrorBound::Rel(1e-3));
+    let data = wide_field(Dataset::Miranda);
+    let (want, _) = qoz_stream(KernelPath::Scalar, &data, 1e-3);
+    for path in PATHS {
+        let (blob, recon) = qoz_stream(path, &data, 1e-3);
         assert_eq!(blob, want, "f64 compress bytes diverged on {path}");
-        let a: NdArray<f64> = c.decompress(&blob).unwrap();
-        let b: NdArray<f64> = scalar.decompress(&want).unwrap();
+        let decoded: NdArray<f64> = Qoz::default().decompress(&blob).unwrap();
         assert!(
-            a.as_slice()
-                .iter()
-                .zip(b.as_slice())
-                .all(|(x, y)| x.to_bits() == y.to_bits()),
-            "f64 decode bits diverged on {path}"
+            same_bits(decoded.as_slice(), &recon),
+            "f64 decode diverged from the {path} compress-side reconstruction"
         );
     }
 }
@@ -291,10 +237,9 @@ fn engine_streams_identical_on_every_path_f64() {
 // Golden pins under explicit paths
 // ---------------------------------------------------------------------------
 
-/// The golden-bitstream constants from `golden_bitstream.rs`, re-pinned
-/// here under *explicit* kernel selection: the scalar reference and
-/// every SIMD path this machine supports must all reproduce the exact
-/// pre-SIMD bytes.
+/// The QoZ golden-bitstream constants from `golden_bitstream.rs`,
+/// re-pinned with the engine explicitly on each path, plus the default
+/// `Compressor` entry point on whatever path the process selected.
 #[test]
 fn golden_pins_hold_on_every_path() {
     let expect: [(Dataset, f64, usize, u64); 3] = [
@@ -302,17 +247,18 @@ fn golden_pins_hold_on_every_path() {
         (Dataset::CesmAtm, 1e-3, 6143, 0x1a46cc7eb06a1027),
         (Dataset::Hurricane, 1e-2, 8246, 0x096d288f9fe01d4e),
     ];
-    let mut selects = vec![KernelSelect::ForceScalar, KernelSelect::Auto];
-    selects.extend(paths().into_iter().map(KernelSelect::Fixed));
-    for select in selects {
-        let c = qoz_with(select);
-        for (ds, eps, len, hash) in expect {
-            let data = ds.generate(SizeClass::Tiny, 0);
-            let blob: Vec<u8> = c.compress(&data, ErrorBound::Rel(eps));
+    for (ds, eps, len, hash) in expect {
+        let data = ds.generate(SizeClass::Tiny, 0);
+        let default: Vec<u8> = Qoz::default().compress(&data, ErrorBound::Rel(eps));
+        let mut blobs = vec![("default".to_string(), default)];
+        for path in PATHS {
+            blobs.push((path.to_string(), qoz_stream(path, &data, eps).0));
+        }
+        for (label, blob) in blobs {
             assert_eq!(
                 (blob.len(), fnv1a(&blob)),
                 (len, hash),
-                "golden pin broke for {ds:?} eps={eps:e} under {select:?}"
+                "golden pin broke for {ds:?} eps={eps:e} on {label}"
             );
         }
     }
@@ -325,19 +271,18 @@ fn golden_f64_pins_hold_on_every_path() {
         (Dataset::Miranda, 1e-3, 12813, 0xd7806195949d9ed7),
         (Dataset::Hurricane, 1e-2, 8262, 0xb44c6fab85a98c7a),
     ];
-    let mut selects = vec![KernelSelect::ForceScalar, KernelSelect::Auto];
-    selects.extend(paths().into_iter().map(KernelSelect::Fixed));
-    for select in selects {
-        let c = qoz_with(select);
-        for (ds, eps, len, hash) in expect {
-            let f = ds.generate(SizeClass::Tiny, 0);
-            let data =
-                NdArray::from_vec(f.shape(), f.as_slice().iter().map(|&v| v as f64).collect());
-            let blob: Vec<u8> = c.compress(&data, ErrorBound::Rel(eps));
+    for (ds, eps, len, hash) in expect {
+        let data = wide_field(ds);
+        let default: Vec<u8> = Qoz::default().compress(&data, ErrorBound::Rel(eps));
+        let mut blobs = vec![("default".to_string(), default)];
+        for path in PATHS {
+            blobs.push((path.to_string(), qoz_stream(path, &data, eps).0));
+        }
+        for (label, blob) in blobs {
             assert_eq!(
                 (blob.len(), fnv1a(&blob)),
                 (len, hash),
-                "f64 golden pin broke for {ds:?} eps={eps:e} under {select:?}"
+                "f64 golden pin broke for {ds:?} eps={eps:e} on {label}"
             );
         }
     }
