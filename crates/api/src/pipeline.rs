@@ -17,13 +17,12 @@
 //! resolved against every snapshot individually, so reuse never loosens
 //! the bound contract.
 
-use crate::registry::Codec;
 use crate::session::{Compressed, Session, Target};
 use crate::{ApiError, BackendId, Result};
-use qoz_codec::{CompressStats, Scratch};
+use qoz_codec::{CompressStats, Compressor, Scratch};
 use qoz_core::{PlanCache, PlanOutcome, Qoz};
 use qoz_temporal::{TemporalOutcome, TemporalSession};
-use qoz_tensor::{NdArray, Scalar};
+use qoz_tensor::{NdArray, Scalar, Shape};
 
 /// Counters describing how a [`Pipeline`] has served its calls.
 ///
@@ -119,7 +118,7 @@ pub struct Pipeline<T: Scalar> {
 /// config and cached plan, the other a trait object).
 enum Engine<T: Scalar> {
     Qoz(Box<(Qoz, PlanCache)>),
-    Other(Box<dyn Codec<T>>),
+    Other(Box<dyn Compressor<T>>),
 }
 
 impl<T: Scalar> Pipeline<T> {
@@ -207,11 +206,11 @@ impl<T: Scalar> Pipeline<T> {
                         let (plan, outcome) = qoz.plan_cached(data, bound, cache);
                         self.stats.record(outcome);
                         self.last = Some(outcome);
-                        qoz.compress_with_plan_scratched(data, &plan, &mut self.scratch)
+                        qoz.compress_with_plan(data, &plan, &mut self.scratch)
                     }
                     Engine::Other(codec) => {
                         self.last = None;
-                        codec.compress_with_scratch(data, bound, &mut self.scratch)
+                        codec.compress(data, bound, &mut self.scratch)
                     }
                 };
                 self.stats.compress_grow_events += self
@@ -236,19 +235,6 @@ impl<T: Scalar> Pipeline<T> {
                 self.session.compress(data)
             }
         }
-    }
-
-    /// Compress one snapshot straight into a byte sink (bytes identical
-    /// to [`Pipeline::compress`]).
-    pub fn compress_into(
-        &mut self,
-        data: &NdArray<T>,
-        sink: &mut dyn std::io::Write,
-    ) -> Result<CompressStats> {
-        let out = self.compress(data)?;
-        sink.write_all(&out.blob)
-            .map_err(qoz_codec::CodecError::from)?;
-        Ok(out.stats)
     }
 
     /// Compress one snapshot as the next member of a temporal chain.
@@ -293,11 +279,11 @@ impl<T: Scalar> Pipeline<T> {
                     let (plan, outcome) = qoz.plan_cached(field, field_bound, cache);
                     stats.record(outcome);
                     *last = Some(outcome);
-                    qoz.compress_with_plan_scratched(field, &plan, &mut *scratch)
+                    qoz.compress_with_plan(field, &plan, &mut *scratch)
                 }
                 Engine::Other(codec) => {
                     *last = None;
-                    codec.compress_with_scratch(field, field_bound, &mut *scratch)
+                    codec.compress(field, field_bound, &mut *scratch)
                 }
             },
             |inner| registry.decompress(inner),
@@ -348,7 +334,9 @@ impl<T: Scalar> Pipeline<T> {
         let registry = session.registry();
         let grows_before = scratch.decode_grow_events();
         let recon = temporal.decompress_next(blob, |inner| {
-            registry.decompress_with_scratch(inner, &mut *scratch)
+            let mut out = NdArray::zeros(Shape::d1(1));
+            registry.decompress_into(inner, &mut *scratch, &mut out)?;
+            Ok(out)
         })?;
         stats.decode_grow_events += scratch.decode_grow_events() - grows_before;
         Ok(recon)
@@ -361,12 +349,6 @@ impl<T: Scalar> Pipeline<T> {
         self.temporal.reset();
     }
 
-    /// Decompress any workspace stream (header-driven dispatch, same as
-    /// [`Session::decompress`]).
-    pub fn decompress(&self, blob: &[u8]) -> Result<NdArray<T>> {
-        self.session.decompress(blob)
-    }
-
     /// Decompress any workspace stream into a caller-provided array,
     /// staging every stage buffer in the pipeline's scratch arena — the
     /// read-path mirror of [`Pipeline::compress`]. The destination is
@@ -374,27 +356,15 @@ impl<T: Scalar> Pipeline<T> {
     /// the whole decode performs zero stage-buffer allocations
     /// (`stats().decode_grow_events` stays flat).
     ///
-    /// Dispatch is header-driven: a stream from the pipeline's own
-    /// backend reuses the held engine, any other workspace stream is
-    /// decoded through the registry with the same arena.
+    /// Dispatch is header-driven through the registry: any workspace
+    /// stream decodes, whichever backend the pipeline compresses with.
+    /// Temporal keyframes are unwrapped transparently; deltas are
+    /// rejected (use [`Pipeline::decompress_next`]).
     pub fn decompress_into(&mut self, blob: &[u8], out: &mut NdArray<T>) -> Result<()> {
         let grows_before = self.scratch.decode_grow_events();
-        // Temporal keyframes carry a complete independent stream; strip
-        // the frame and decode as usual (deltas are rejected here — use
-        // `decompress_next`).
-        let (header, payload) = crate::registry::standalone_payload(blob)?;
-        match &self.engine {
-            Engine::Qoz(inner) if header.compressor == BackendId::Qoz => inner
-                .0
-                .decompress_into_scratched(payload, &mut self.scratch, out)?,
-            Engine::Other(codec) if codec.id() == header.compressor => {
-                codec.decompress_into(payload, &mut self.scratch, out)?
-            }
-            _ => self
-                .session
-                .registry()
-                .decompress_into(payload, &mut self.scratch, out)?,
-        }
+        self.session
+            .registry()
+            .decompress_into(blob, &mut self.scratch, out)?;
         self.stats.decode_grow_events += self.scratch.decode_grow_events() - grows_before;
         Ok(())
     }
@@ -425,7 +395,7 @@ mod tests {
         assert_eq!(pipe.stats().cold_tunes, 1);
         assert_eq!(pipe.stats().warm_hits, 1);
         assert_eq!(pipe.last_outcome(), Some(PlanOutcome::WarmHit));
-        let recon = pipe.decompress(&second.blob).unwrap();
+        let recon: NdArray<f32> = session.decompress(&second.blob).unwrap();
         let abs = ErrorBound::Rel(1e-3).absolute(&data);
         assert!(data.max_abs_diff(&recon) <= abs * (1.0 + 1e-9));
     }
@@ -623,20 +593,5 @@ mod tests {
             pipe.compress_next(&snaps[0]),
             Err(crate::ApiError::InvalidTarget(_))
         ));
-    }
-
-    #[test]
-    fn compress_into_streams_identical_bytes() {
-        let data = Dataset::Nyx.generate(SizeClass::Tiny, 0);
-        let session = Session::builder()
-            .bound(ErrorBound::Rel(1e-2))
-            .build()
-            .unwrap();
-        let mut pipe = session.pipeline::<f32>();
-        let direct = pipe.compress(&data).unwrap();
-        let mut sink = Vec::new();
-        let stats = pipe.compress_into(&data, &mut sink).unwrap();
-        assert_eq!(sink, direct.blob);
-        assert_eq!(stats.compressed_bytes, direct.blob.len() as u64);
     }
 }

@@ -1,30 +1,11 @@
 //! The single backend registry: every `BackendId -> codec` dispatch in
 //! the workspace goes through here.
-//!
-//! Before the facade existed this mapping was re-implemented three
-//! times (`qoz_archive::dispatch::compressor_for`,
-//! `qoz_bench::AnyCompressor`, the CLI's `make_codec`); all three were
-//! replaced by [`BackendRegistry`] and have since been deleted.
 
 use crate::{ApiError, BackendId};
 use qoz_codec::stream::{read_header, unwrap_temporal, TemporalMode};
 use qoz_codec::{ByteReader, CodecError, Compressor, Header, Scratch};
 use qoz_metrics::QualityMetric;
 use qoz_tensor::{NdArray, Scalar};
-
-/// A thread-safe compression backend usable through the facade.
-///
-/// Blanket-implemented for everything that implements
-/// [`Compressor`]`<T> + Send + Sync`, so any workspace backend — and
-/// any downstream custom codec — qualifies automatically. The trait
-/// exists so registry consumers can hold `Box<dyn Codec<T>>` and still
-/// hand it to generic plumbing (`qoz_pario`, `qoz_archive`) that wants
-/// a `Compressor<T> + Sync`. `Send` is part of the bargain so owning
-/// types ([`crate::Pipeline`], `qoz_serve` workers) can migrate between
-/// threads.
-pub trait Codec<T: Scalar>: Compressor<T> + Send + Sync {}
-
-impl<T: Scalar, C: Compressor<T> + Send + Sync + ?Sized> Codec<T> for C {}
 
 /// Maps a [`BackendId`] to a ready-to-use codec, generic over the
 /// element type.
@@ -65,7 +46,7 @@ impl BackendRegistry {
 
     /// Construct the backend for `id` (configuration only affects
     /// compression; decompression is driven by the stream).
-    pub fn codec<T: Scalar>(&self, id: BackendId) -> Box<dyn Codec<T>> {
+    pub fn codec<T: Scalar>(&self, id: BackendId) -> Box<dyn Compressor<T>> {
         match id {
             BackendId::Qoz => Box::new(self.qoz()),
             BackendId::Sz3 => Box::new(qoz_sz3::Sz3::default()),
@@ -84,7 +65,7 @@ impl BackendRegistry {
     }
 
     /// The paper's five-compressor comparison set, in table order.
-    pub fn paper_set<T: Scalar>(&self) -> Vec<Box<dyn Codec<T>>> {
+    pub fn paper_set<T: Scalar>(&self) -> Vec<Box<dyn Compressor<T>>> {
         Self::ALL.iter().map(|&id| self.codec::<T>(id)).collect()
     }
 
@@ -111,19 +92,7 @@ impl BackendRegistry {
     /// them through [`crate::Pipeline::decompress_next`].
     pub fn decompress<T: Scalar>(&self, blob: &[u8]) -> qoz_codec::Result<NdArray<T>> {
         let (header, payload) = standalone_payload(blob)?;
-        self.codec::<T>(header.compressor).decompress(payload)
-    }
-
-    /// [`BackendRegistry::decompress`] staging its stage buffers in a
-    /// reusable arena; decoded values are identical.
-    pub fn decompress_with_scratch<T: Scalar>(
-        &self,
-        blob: &[u8],
-        scratch: &mut Scratch<T>,
-    ) -> qoz_codec::Result<NdArray<T>> {
-        let (header, payload) = standalone_payload(blob)?;
-        self.codec::<T>(header.compressor)
-            .decompress_with_scratch(payload, scratch)
+        qoz_codec::decompress(&*self.codec::<T>(header.compressor), payload)
     }
 
     /// [`BackendRegistry::decompress`] into a caller-provided array,
@@ -138,17 +107,6 @@ impl BackendRegistry {
         let (header, payload) = standalone_payload(blob)?;
         self.codec::<T>(header.compressor)
             .decompress_into(payload, scratch, out)
-    }
-
-    /// Streaming counterpart of [`BackendRegistry::decompress`]: read a
-    /// stream to its end and decode it, whatever backend produced it.
-    pub fn decompress_from<T: Scalar>(
-        &self,
-        src: &mut dyn std::io::Read,
-    ) -> qoz_codec::Result<NdArray<T>> {
-        let mut blob = Vec::new();
-        src.read_to_end(&mut blob)?;
-        self.decompress(&blob)
     }
 }
 
@@ -201,7 +159,7 @@ mod tests {
         for id in BackendRegistry::ALL {
             let codec = reg.codec::<f32>(id);
             assert_eq!(codec.id(), id);
-            let blob = codec.compress(&data, bound);
+            let blob = codec.compress(&data, bound, &mut Scratch::new());
             assert_eq!(peek_header(&blob).unwrap().compressor, id);
             // Header-driven dispatch decodes without being told the id.
             let recon: NdArray<f32> = reg.decompress(&blob).unwrap();
@@ -215,7 +173,9 @@ mod tests {
         let data = NdArray::from_fn(Shape::d2(16, 16), |i| (i[0] as f64 * 0.3).sin());
         let reg = BackendRegistry::new();
         for id in BackendRegistry::ALL {
-            let blob = reg.codec::<f64>(id).compress(&data, ErrorBound::Abs(1e-4));
+            let blob =
+                reg.codec::<f64>(id)
+                    .compress(&data, ErrorBound::Abs(1e-4), &mut Scratch::new());
             let recon: NdArray<f64> = reg.decompress(&blob).unwrap();
             assert!(
                 data.max_abs_diff(&recon) <= 1e-4 * (1.0 + 1e-9),
@@ -254,7 +214,7 @@ mod tests {
         let names: Vec<&str> = BackendRegistry::new()
             .paper_set::<f32>()
             .iter()
-            .map(|c| c.name())
+            .map(|c| c.id().name())
             .collect();
         assert_eq!(names, vec!["SZ2.1", "SZ3", "ZFP", "MGARD+", "QoZ"]);
     }

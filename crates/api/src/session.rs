@@ -1,8 +1,8 @@
 //! Builder sessions: validated, reusable compression configurations.
 
-use crate::registry::{BackendRegistry, Codec};
+use crate::registry::BackendRegistry;
 use crate::{ApiError, BackendId, Result};
-use qoz_codec::{CompressStats, ErrorBound};
+use qoz_codec::{CompressStats, Compressor, ErrorBound, Scratch};
 use qoz_core::{compress_codec_to_quality, compress_codec_to_ratio, QualityTarget};
 use qoz_metrics::QualityMetric;
 use qoz_tensor::{NdArray, Scalar};
@@ -213,7 +213,7 @@ impl Session {
     /// The session's backend as a standalone codec, for plumbing that
     /// wants a `Compressor` directly (`qoz_archive::ArchiveWriter`,
     /// `qoz_pario::compress_chunks`).
-    pub fn codec<T: Scalar>(&self) -> Box<dyn Codec<T>> {
+    pub fn codec<T: Scalar>(&self) -> Box<dyn Compressor<T>> {
         self.registry.codec::<T>(self.backend)
     }
 
@@ -236,7 +236,7 @@ impl Session {
         };
         match self.target {
             Target::Bound(bound) => {
-                let blob = self.codec::<T>().compress(data, bound);
+                let blob = self.codec::<T>().compress(data, bound, &mut Scratch::new());
                 Ok(wrap(blob, None, None))
             }
             Target::Psnr(db) => self
@@ -268,37 +268,10 @@ impl Session {
         }
     }
 
-    /// Compress `data` straight into a byte sink.
-    ///
-    /// [`Target::Bound`] sessions stream through the backend's
-    /// [`compress_into`](qoz_codec::Compressor::compress_into); quality
-    /// and ratio targets must search for the stream first and then write
-    /// it out. Bytes are identical to [`Session::compress`] either way.
-    pub fn compress_into<T: Scalar>(
-        &self,
-        data: &NdArray<T>,
-        sink: &mut dyn std::io::Write,
-    ) -> Result<CompressStats> {
-        match self.target {
-            Target::Bound(bound) => Ok(self.codec::<T>().compress_into(data, bound, sink)?),
-            _ => {
-                let out = self.compress(data)?;
-                sink.write_all(&out.blob)
-                    .map_err(qoz_codec::CodecError::from)?;
-                Ok(out.stats)
-            }
-        }
-    }
-
     /// Decompress any workspace stream (not only this session's
     /// backend — dispatch is header-driven through the registry).
     pub fn decompress<T: Scalar>(&self, blob: &[u8]) -> Result<NdArray<T>> {
         Ok(self.registry.decompress(blob)?)
-    }
-
-    /// Streaming counterpart of [`Session::decompress`].
-    pub fn decompress_from<T: Scalar>(&self, src: &mut dyn std::io::Read) -> Result<NdArray<T>> {
-        Ok(self.registry.decompress_from(src)?)
     }
 }
 

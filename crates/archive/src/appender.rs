@@ -108,7 +108,7 @@ impl<S: ByteSource> ArchiveAppender<S> {
     ) -> Result<()>
     where
         T: Scalar,
-        C: Compressor<T> + Sync + ?Sized,
+        C: Compressor<T> + ?Sized,
     {
         if self.reader.toc().vars.iter().any(|v| v.name == name) {
             return Err(ArchiveError::DuplicateVariable(name.to_string()));
@@ -129,7 +129,7 @@ impl<S: ByteSource> ArchiveAppender<S> {
     ) -> Result<()>
     where
         T: Scalar,
-        C: Compressor<T> + Sync + ?Sized,
+        C: Compressor<T> + ?Sized,
     {
         self.add_variable(&snapshot_name(base, t), data, compressor, bound)
     }
@@ -159,7 +159,7 @@ impl<S: ByteSource> ArchiveAppender<S> {
     ) -> Result<TemporalKind>
     where
         T: Scalar,
-        C: Compressor<T> + Sync + ?Sized,
+        C: Compressor<T> + ?Sized,
     {
         let name = snapshot_name(base, t);
         if self.reader.toc().vars.iter().any(|v| v.name == name) {
@@ -247,7 +247,7 @@ impl<S: ByteSource> ArchiveAppender<S> {
         let mut out = NdArray::zeros(v.shape);
         for (entry, region) in v.chunks.iter().zip(v.chunk_regions()) {
             let blob = &payload[entry.offset as usize..(entry.offset + entry.len) as usize];
-            let chunk = codec.decompress(blob)?;
+            let chunk = qoz_codec::decompress(&*codec, blob)?;
             if chunk.shape().dims() != region.size() {
                 return Err(ArchiveError::Corrupt("staged chunk disagrees with index"));
             }

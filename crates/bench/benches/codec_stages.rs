@@ -3,7 +3,9 @@
 //! the layers every compressor shares.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
-use qoz_codec::{decode_bins, encode_bins, lossless_compress, LinearQuantizer};
+use qoz_codec::{
+    decode_bins_with, encode_bins_with, lossless_compress_with, EntropyScratch, LinearQuantizer,
+};
 use qoz_predict::{max_level, traverse_level, LevelConfig};
 use qoz_tensor::{NdArray, Shape};
 
@@ -30,17 +32,24 @@ fn stage_benches(c: &mut Criterion) {
         .collect();
     let mut group = c.benchmark_group("entropy");
     group.throughput(Throughput::Elements(bins.len() as u64));
-    group.bench_function("encode_bins_500k", |b| b.iter(|| encode_bins(&bins)));
-    let blob = encode_bins(&bins);
+    let mut es = EntropyScratch::new();
+    let mut blob = Vec::new();
+    group.bench_function("encode_bins_500k", |b| {
+        b.iter(|| encode_bins_with(&bins, &mut es, &mut blob))
+    });
+    let mut decoded = Vec::new();
     group.bench_function("decode_bins_500k", |b| {
-        b.iter(|| decode_bins(&blob).unwrap())
+        b.iter(|| decode_bins_with(&blob, &mut es, &mut decoded).unwrap())
     });
     group.finish();
 
     let bytes: Vec<u8> = (0..1_000_000u32).map(|i| (i % 251) as u8).collect();
     let mut group = c.benchmark_group("lzss");
     group.throughput(Throughput::Bytes(bytes.len() as u64));
-    group.bench_function("compress_1MB", |b| b.iter(|| lossless_compress(&bytes)));
+    let mut packed = Vec::new();
+    group.bench_function("compress_1MB", |b| {
+        b.iter(|| lossless_compress_with(&bytes, &mut es, &mut packed))
+    });
     group.finish();
 
     // Full interpolation traversal of a 64^3 volume.

@@ -3,7 +3,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use qoz_bench::paper_set;
-use qoz_codec::stream::ErrorBound;
+use qoz_codec::{decompress, ErrorBound, Scratch};
 use qoz_datagen::{Dataset, SizeClass};
 use qoz_metrics::QualityMetric;
 
@@ -17,9 +17,9 @@ fn bench_compressors(c: &mut Criterion) {
         group.throughput(Throughput::Bytes((data.len() * 4) as u64));
         for comp in paper_set::<f32>(QualityMetric::Psnr) {
             group.bench_with_input(
-                BenchmarkId::new(comp.name(), ds.name()),
+                BenchmarkId::new(comp.id().name(), ds.name()),
                 &data,
-                |b, data| b.iter(|| comp.compress(data, bound)),
+                |b, data| b.iter(|| comp.compress(data, bound, &mut Scratch::new())),
             );
         }
     }
@@ -30,11 +30,11 @@ fn bench_compressors(c: &mut Criterion) {
         let data = ds.generate(SizeClass::Tiny, 0);
         group.throughput(Throughput::Bytes((data.len() * 4) as u64));
         for comp in paper_set::<f32>(QualityMetric::Psnr) {
-            let blob = comp.compress(&data, bound);
+            let blob = comp.compress(&data, bound, &mut Scratch::new());
             group.bench_with_input(
-                BenchmarkId::new(comp.name(), ds.name()),
+                BenchmarkId::new(comp.id().name(), ds.name()),
                 &blob,
-                |b, blob| b.iter(|| comp.decompress(blob).unwrap()),
+                |b, blob| b.iter(|| decompress(&*comp, blob).unwrap()),
             );
         }
     }

@@ -6,7 +6,7 @@
 //! ladder, so the overhead of each optimization component is visible.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
-use qoz_codec::stream::{Compressor as _, ErrorBound};
+use qoz_codec::{Compressor as _, ErrorBound, Scratch};
 use qoz_core::ablation::AblationVariant;
 use qoz_core::Qoz;
 use qoz_datagen::{Dataset, SizeClass};
@@ -25,11 +25,11 @@ fn tuning_benches(c: &mut Criterion) {
     });
     group.bench_function("qoz_full_compress", |b| {
         let qoz = Qoz::for_metric(QualityMetric::Psnr);
-        b.iter(|| qoz.compress(&data, bound))
+        b.iter(|| qoz.compress(&data, bound, &mut Scratch::new()))
     });
     group.bench_function("sz3_compress", |b| {
         let sz3 = qoz_sz3::Sz3::default();
-        b.iter(|| sz3.compress(&data, bound))
+        b.iter(|| sz3.compress(&data, bound, &mut Scratch::new()))
     });
     group.finish();
 
@@ -37,7 +37,9 @@ fn tuning_benches(c: &mut Criterion) {
     group.throughput(Throughput::Bytes(bytes));
     for v in &AblationVariant::ALL[1..] {
         let comp = v.compressor(QualityMetric::Psnr);
-        group.bench_function(v.name(), |b| b.iter(|| comp.compress(&data, bound)));
+        group.bench_function(v.name(), |b| {
+            b.iter(|| comp.compress(&data, bound, &mut Scratch::new()))
+        });
     }
     group.finish();
 }

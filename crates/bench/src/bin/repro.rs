@@ -25,9 +25,9 @@
 //! PATH` explicitly) writes the machine-readable throughput baseline
 //! that perf PRs are judged against.
 
-use qoz_api::{Codec, Session};
+use qoz_api::Session;
 use qoz_bench::{evaluate, paper_set, write_csv, write_pgm};
-use qoz_codec::stream::{Compressor as _, ErrorBound};
+use qoz_codec::{Compressor, ErrorBound, Scratch};
 use qoz_core::ablation::AblationVariant;
 use qoz_core::{Qoz, QozConfig};
 use qoz_datagen::{Dataset, SizeClass};
@@ -158,7 +158,7 @@ fn bench_throughput(o: &Opts) {
                 println!(
                     "{:<12} {:<8} {:>6.0e}  {:>8.1} {:>10.1} {:>12.1}",
                     ds.name(),
-                    c.name(),
+                    c.id().name(),
                     eps,
                     r.cr,
                     r.comp_mbps,
@@ -170,7 +170,7 @@ fn bench_throughput(o: &Opts) {
                         "\"points\": {}, \"eps_rel\": {:e}, \"cr\": {:.4}, ",
                         "\"comp_mbps\": {:.3}, \"decomp_mbps\": {:.3}}}"
                     ),
-                    c.name(),
+                    c.id().name(),
                     ds.name(),
                     data.len(),
                     eps,
@@ -263,14 +263,14 @@ fn bench_random_access(o: &Opts) -> Vec<String> {
             slab.as_slice(),
             full.extract_region(&region).as_slice(),
             "{}: region query diverged from full decompress",
-            c.name()
+            c.id().name()
         );
 
         let frac = read as f64 / bytes.len() as f64;
         let speedup = t_full / t_region.max(1e-9);
         println!(
             "{:<8} {:>10} {:>12} {:>9.2}% {:>10.2} {:>8.1}x",
-            c.name(),
+            c.id().name(),
             bytes.len(),
             read,
             frac * 100.0,
@@ -284,7 +284,7 @@ fn bench_random_access(o: &Opts) -> Vec<String> {
                 "\"region_bytes_read\": {}, \"read_fraction\": {:.5}, ",
                 "\"region_ms\": {:.3}, \"full_ms\": {:.3}, \"speedup\": {:.2}}}"
             ),
-            c.name(),
+            c.id().name(),
             Dataset::Miranda.name(),
             data.len(),
             region.len(),
@@ -1089,8 +1089,8 @@ fn fig7(o: &Opts) {
             let bound = ErrorBound::Rel(eps);
             let abs = bound.absolute(&data);
             let qoz = Qoz::default();
-            let blob = qoz.compress(&data, bound);
-            let recon: NdArray<f32> = qoz.decompress(&blob).unwrap();
+            let blob = qoz.compress(&data, bound, &mut Scratch::new());
+            let recon: NdArray<f32> = qoz_codec::decompress(&qoz, &blob).unwrap();
             let hist = qoz_metrics::error_histogram(&data, &recon, abs, bins);
             let maxerr = data.max_abs_diff(&recon);
             println!(
@@ -1134,7 +1134,7 @@ fn rate_curves(o: &Opts, metric: QualityMetric, tag: &str) {
                 rows.push(format!(
                     "{},{},{:e},{:.4},{:.2},{:.4},{:.4}",
                     ds.name(),
-                    c.name(),
+                    c.id().name(),
                     eps,
                     r.bitrate,
                     r.psnr,
@@ -1144,7 +1144,7 @@ fn rate_curves(o: &Opts, metric: QualityMetric, tag: &str) {
                 if eps == 1e-3 {
                     println!(
                         "  {:<8} {:>9.4} {:>9.2} {:>9.4}",
-                        c.name(),
+                        c.id().name(),
                         r.bitrate,
                         r.psnr,
                         r.ssim
@@ -1167,7 +1167,7 @@ fn rate_curves(o: &Opts, metric: QualityMetric, tag: &str) {
 fn fig10(o: &Opts) {
     println!("\n=== Fig. 10: rate vs |lag-1 autocorrelation| of errors ===");
     let sweeps = [3e-2, 1e-2, 3e-3, 1e-3, 3e-4];
-    let variants: Vec<(&str, Box<dyn Codec<f32>>)> = vec![
+    let variants: Vec<(&str, Box<dyn Compressor<f32>>)> = vec![
         ("SZ3", Box::new(qoz_sz3::Sz3::default())),
         (
             "QoZ_PSNRPreferred",
@@ -1257,7 +1257,7 @@ fn fig12(o: &Opts) {
         let data = ds.generate(o.size, 0);
         println!("{} (at eps=1e-3):", ds.name());
         for v in AblationVariant::ALL {
-            let comp: Box<dyn Codec<f32>> = match v {
+            let comp: Box<dyn Compressor<f32>> = match v {
                 AblationVariant::Sz3Baseline => Box::new(qoz_sz3::Sz3::default()),
                 other => Box::new(other.compressor(QualityMetric::Psnr)),
             };
@@ -1358,7 +1358,7 @@ fn fig14(o: &Opts) {
     for c in paper_set::<f32>(QualityMetric::CompressionRatio) {
         let r = evaluate(&*c, &data, bound);
         measured.push((
-            c.name().to_string(),
+            c.id().name().to_string(),
             r.cr,
             r.comp_mbps * 1e6,
             r.decomp_mbps * 1e6,

@@ -9,8 +9,8 @@
 //! experiment drivers in `src/bin/repro.rs` are thin loops over these
 //! helpers; results go to stdout as aligned tables and to `results/*.csv`.
 
-use qoz_api::{BackendRegistry, Codec};
-use qoz_codec::stream::ErrorBound;
+use qoz_api::BackendRegistry;
+use qoz_codec::{Compressor, ErrorBound, Scratch};
 use qoz_metrics::QualityMetric;
 use qoz_tensor::{NdArray, Scalar};
 use std::io::Write as _;
@@ -19,7 +19,7 @@ use std::time::Instant;
 /// The paper's comparison set (SZ2.1, SZ3, ZFP, MGARD+, QoZ), QoZ in
 /// the given tuning mode — a thin veneer over
 /// [`BackendRegistry::paper_set`].
-pub fn paper_set<T: Scalar>(metric: QualityMetric) -> Vec<Box<dyn Codec<T>>> {
+pub fn paper_set<T: Scalar>(metric: QualityMetric) -> Vec<Box<dyn Compressor<T>>> {
     BackendRegistry::with_metric(metric).paper_set::<T>()
 }
 
@@ -45,14 +45,18 @@ pub struct RunResult {
 }
 
 /// Run one timed cycle and measure everything.
-pub fn evaluate<T: Scalar>(c: &dyn Codec<T>, data: &NdArray<T>, bound: ErrorBound) -> RunResult {
+pub fn evaluate<T: Scalar>(
+    c: &dyn Compressor<T>,
+    data: &NdArray<T>,
+    bound: ErrorBound,
+) -> RunResult {
     let raw_bytes = (data.len() * T::BYTES) as f64;
     let bits_per_elem = (T::BYTES * 8) as f64;
     let t0 = Instant::now();
-    let blob = c.compress(data, bound);
+    let blob = c.compress(data, bound, &mut Scratch::new());
     let t_comp = t0.elapsed().as_secs_f64();
     let t0 = Instant::now();
-    let recon = c.decompress(&blob).expect("self-produced blob must decode");
+    let recon = qoz_codec::decompress(c, &blob).expect("self-produced blob must decode");
     let t_dec = t0.elapsed().as_secs_f64();
 
     RunResult {
@@ -118,7 +122,7 @@ mod tests {
     #[test]
     fn paper_set_has_five_compressors() {
         let set = paper_set::<f32>(QualityMetric::Psnr);
-        let names: Vec<_> = set.iter().map(|c| c.name()).collect();
+        let names: Vec<_> = set.iter().map(|c| c.id().name()).collect();
         assert_eq!(names, vec!["SZ2.1", "SZ3", "ZFP", "MGARD+", "QoZ"]);
     }
 
@@ -128,7 +132,7 @@ mod tests {
         let data = Dataset::Miranda.generate(SizeClass::Tiny, 0);
         let c = qoz_sz3::Sz3::default();
         let r = qoz_core::compress_codec_to_ratio(&c, &data, 30.0, 12);
-        let blob = c.compress(&data, ErrorBound::Rel(r.rel_bound));
+        let blob = c.compress(&data, ErrorBound::Rel(r.rel_bound), &mut Scratch::new());
         let cr = (data.len() * 4) as f64 / blob.len() as f64;
         assert!((cr - 30.0).abs() / 30.0 < 0.5, "cr {cr} target 30");
     }

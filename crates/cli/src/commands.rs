@@ -2,8 +2,8 @@
 //!
 //! Every compression path goes through [`qoz_api::Session`]: the CLI
 //! only parses flags, reads raw arrays, and reports what the session
-//! did. Streams are written through the session's streaming sink
-//! (`compress_into`), not via an intermediate whole-stream buffer.
+//! did. Outputs are written via temp-file + rename, so a failed run
+//! never leaves a truncated stream behind.
 
 use crate::args::{Command, USAGE};
 use crate::rawio;
@@ -14,7 +14,7 @@ use qoz_codec::stream::ErrorBound;
 use qoz_metrics::QualityReport;
 use qoz_tensor::{NdArray, Region, Scalar, Shape};
 
-/// Compress one typed array through `session`, streaming the result to
+/// Compress one typed array through `session` and write the stream to
 /// `output`; returns the report line.
 fn compress_one<T: Scalar>(
     session: &Session,
@@ -22,41 +22,35 @@ fn compress_one<T: Scalar>(
     input: &str,
     output: &str,
 ) -> Result<String, CliError> {
-    let raw_bytes = data.len() * T::BYTES;
-    match session.target() {
+    let out = session.compress(data)?;
+    write_atomically(output, |sink| {
+        std::io::Write::write_all(sink, &out.blob)?;
+        Ok(())
+    })?;
+    let (label, unit) = match session.target() {
         Target::Bound(_) => {
-            let stats = write_atomically(output, |sink| Ok(session.compress_into(data, sink)?))?;
-            Ok(format!(
+            return Ok(format!(
                 "{input} -> {output}: {} -> {} bytes (CR {:.2}x)",
-                stats.raw_bytes,
-                stats.compressed_bytes,
-                stats.ratio()
+                out.stats.raw_bytes,
+                out.stats.compressed_bytes,
+                out.stats.ratio()
             ))
         }
-        target => {
-            // Quality-first: the search produces the blob plus the bound
-            // and metric it settled on — report all of it.
-            let out = session.compress(data)?;
-            write_atomically(output, |sink| {
-                std::io::Write::write_all(sink, &out.blob)?;
-                Ok(())
-            })?;
-            let (label, unit) = match target {
-                Target::Psnr(_) => ("PSNR", " dB"),
-                Target::Ssim(_) => ("SSIM", ""),
-                _ => ("CR", "x"),
-            };
-            Ok(format!(
-                "{input} -> {output}: {} -> {} bytes (CR {:.2}x, {label} {:.2}{unit} \
-                 at rel bound {:.3e})",
-                raw_bytes,
-                out.blob.len(),
-                out.stats.ratio(),
-                out.achieved.unwrap_or(f64::NAN),
-                out.rel_bound.unwrap_or(f64::NAN),
-            ))
-        }
-    }
+        // Quality-first: the search produces the blob plus the bound and
+        // metric it settled on — report all of it.
+        Target::Psnr(_) => ("PSNR", " dB"),
+        Target::Ssim(_) => ("SSIM", ""),
+        Target::Ratio(_) => ("CR", "x"),
+    };
+    Ok(format!(
+        "{input} -> {output}: {} -> {} bytes (CR {:.2}x, {label} {:.2}{unit} \
+         at rel bound {:.3e})",
+        out.stats.raw_bytes,
+        out.blob.len(),
+        out.stats.ratio(),
+        out.achieved.unwrap_or(f64::NAN),
+        out.rel_bound.unwrap_or(f64::NAN),
+    ))
 }
 
 /// Compress a time series of same-shape raw files through one reused
@@ -157,16 +151,13 @@ fn decompress_series(indir: &str, outdir: &str) -> Result<Vec<String>, CliError>
     // decoder rejects members whose shape/type breaks the chain.
     let first = rawio::read_bytes(&files[0])?;
     if qoz_api::peek_header(&first)?.scalar_tag == f64::TYPE_TAG {
-        decompress_series_typed::<f64>(&files, outdir)
+        decompress_chain::<f64>(&files, outdir)
     } else {
-        decompress_series_typed::<f32>(&files, outdir)
+        decompress_chain::<f32>(&files, outdir)
     }
 }
 
-fn decompress_series_typed<T: Scalar>(
-    files: &[String],
-    outdir: &str,
-) -> Result<Vec<String>, CliError> {
+fn decompress_chain<T: Scalar>(files: &[String], outdir: &str) -> Result<Vec<String>, CliError> {
     let registry = qoz_api::BackendRegistry::new();
     let mut chain = qoz_temporal::TemporalSession::<T>::new();
     let mut lines = Vec::with_capacity(files.len());

@@ -7,7 +7,7 @@
 
 use crate::byteio::{ByteReader, ByteWriter};
 use crate::huffman::{HuffmanDecoder, HuffmanEncoder};
-use crate::lz::{lzss_compress_with, lzss_decompress, lzss_decompress_with};
+use crate::lz::{lzss_compress_with, lzss_decompress_with};
 use crate::scratch::EntropyScratch;
 use crate::{CodecError, Result};
 
@@ -15,17 +15,8 @@ use crate::{CodecError, Result};
 const TAG_EMPTY: u8 = 0;
 const TAG_DATA: u8 = 1;
 
-/// Entropy-code a stream of quantization bins.
-///
-/// Produces a self-contained blob: `tag, LZSS(Huffman(bins))`.
-pub fn encode_bins(bins: &[u32]) -> Vec<u8> {
-    let mut out = Vec::new();
-    encode_bins_with(bins, &mut EntropyScratch::new(), &mut out);
-    out
-}
-
-/// [`encode_bins`] with caller-provided working memory: clears `out` and
-/// fills it with exactly the bytes `encode_bins` would return, staging
+/// Entropy-code a stream of quantization bins into a self-contained
+/// blob, `tag, LZSS(Huffman(bins))`: clears `out` and fills it, staging
 /// the Huffman and LZSS passes in the recycled `scratch` buffers.
 pub fn encode_bins_with(bins: &[u32], scratch: &mut EntropyScratch, out: &mut Vec<u8>) {
     let mut w = ByteWriter::from_vec(std::mem::take(out));
@@ -48,17 +39,9 @@ pub fn encode_bins_with(bins: &[u32], scratch: &mut EntropyScratch, out: &mut Ve
     *out = w.finish();
 }
 
-/// Inverse of [`encode_bins`].
-pub fn decode_bins(blob: &[u8]) -> Result<Vec<u32>> {
-    let mut out = Vec::new();
-    decode_bins_with(blob, &mut EntropyScratch::new(), &mut out)?;
-    Ok(out)
-}
-
-/// [`decode_bins`] with caller-provided working memory: the LZSS
-/// inflate, the Huffman table rebuild and the decoded symbols all stage
-/// in recycled buffers. `out` is cleared and filled with exactly the
-/// bins the allocating path returns.
+/// Inverse of [`encode_bins_with`]: the LZSS inflate, the Huffman table
+/// rebuild and the decoded symbols all stage in recycled buffers. `out`
+/// is cleared and filled with the decoded bins.
 pub fn decode_bins_with(
     blob: &[u8],
     scratch: &mut EntropyScratch,
@@ -88,27 +71,15 @@ pub fn decode_bins_with(
 }
 
 /// Losslessly compress an arbitrary byte stream (used for anchor points
-/// and exact-value side streams). Currently LZSS; kept behind a function
-/// so the backend can be swapped without touching compressors.
-pub fn lossless_compress(data: &[u8]) -> Vec<u8> {
-    crate::lz::lzss_compress(data)
-}
-
-/// [`lossless_compress`] with caller-provided working memory: clears
-/// `out` and fills it with exactly the bytes `lossless_compress` would
-/// return.
+/// and exact-value side streams) into `out`, which is cleared first.
+/// Currently LZSS; kept behind a function so the backend can be swapped
+/// without touching compressors.
 pub fn lossless_compress_with(data: &[u8], scratch: &mut EntropyScratch, out: &mut Vec<u8>) {
     lzss_compress_with(data, &mut scratch.lz, out);
 }
 
-/// Inverse of [`lossless_compress`].
-pub fn lossless_decompress(data: &[u8]) -> Result<Vec<u8>> {
-    lzss_decompress(data)
-}
-
-/// [`lossless_decompress`] with caller-provided working memory: `out`
-/// is cleared and filled with exactly the bytes the allocating path
-/// returns.
+/// Inverse of [`lossless_compress_with`]: `out` is cleared and filled
+/// with the original bytes.
 pub fn lossless_decompress_with(
     data: &[u8],
     scratch: &mut EntropyScratch,
@@ -143,39 +114,54 @@ pub fn estimate_bins_bits(bins: &[u32]) -> f64 {
 mod tests {
     use super::*;
 
+    fn encode(bins: &[u32]) -> Vec<u8> {
+        let mut out = Vec::new();
+        encode_bins_with(bins, &mut EntropyScratch::new(), &mut out);
+        out
+    }
+
+    fn decode(blob: &[u8]) -> Result<Vec<u32>> {
+        let mut out = Vec::new();
+        decode_bins_with(blob, &mut EntropyScratch::new(), &mut out)?;
+        Ok(out)
+    }
+
     #[test]
     fn bins_roundtrip() {
         let bins: Vec<u32> = (0..10_000).map(|i| 32768 + ((i % 7) as u32)).collect();
-        let blob = encode_bins(&bins);
-        assert_eq!(decode_bins(&blob).unwrap(), bins);
+        let blob = encode(&bins);
+        assert_eq!(decode(&blob).unwrap(), bins);
         // Highly concentrated bins compress strongly.
         assert!(blob.len() < bins.len() / 2);
     }
 
     #[test]
     fn empty_bins_roundtrip() {
-        let blob = encode_bins(&[]);
-        assert_eq!(decode_bins(&blob).unwrap(), Vec::<u32>::new());
+        let blob = encode(&[]);
+        assert_eq!(decode(&blob).unwrap(), Vec::<u32>::new());
     }
 
     #[test]
     fn byte_stream_roundtrip() {
         let data: Vec<u8> = (0..9999u32).flat_map(|i| (i % 251).to_le_bytes()).collect();
-        let packed = lossless_compress(&data);
-        assert_eq!(lossless_decompress(&packed).unwrap(), data);
+        let mut scratch = EntropyScratch::new();
+        let (mut packed, mut back) = (Vec::new(), Vec::new());
+        lossless_compress_with(&data, &mut scratch, &mut packed);
+        lossless_decompress_with(&packed, &mut scratch, &mut back).unwrap();
+        assert_eq!(back, data);
     }
 
     #[test]
     fn bad_tag_rejected() {
-        assert!(decode_bins(&[9, 0, 0]).is_err());
+        assert!(decode(&[9, 0, 0]).is_err());
     }
 
     #[test]
     fn truncated_blob_rejected() {
         let bins = vec![1u32, 2, 3, 1, 2, 3];
-        let blob = encode_bins(&bins);
+        let blob = encode(&bins);
         for cut in 0..blob.len() {
-            assert!(decode_bins(&blob[..cut]).is_err() || cut == 0);
+            assert!(decode(&blob[..cut]).is_err() || cut == 0);
         }
     }
 
@@ -187,7 +173,7 @@ mod tests {
             bins[i * 10] = 100 + (i % 50) as u32;
         }
         let est_bytes = estimate_bins_bits(&bins) / 8.0;
-        let actual = encode_bins(&bins).len() as f64;
+        let actual = encode(&bins).len() as f64;
         // The estimate is an iid entropy model; LZSS additionally exploits
         // ordering, so allow a generous band — the tuner only needs
         // *relative* comparisons between candidate configurations.

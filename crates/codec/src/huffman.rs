@@ -271,14 +271,10 @@ impl HuffmanScratch {
 }
 
 impl HuffmanEncoder {
-    /// Build an encoder from the symbols that will be encoded.
+    /// Build an encoder from the symbols that will be encoded, counting
+    /// frequencies in `scratch`'s recycled table.
     ///
     /// Returns `None` for an empty input (nothing to encode).
-    pub fn from_symbols(symbols: &[u32]) -> Option<Self> {
-        Self::from_symbols_with(symbols, &mut HuffmanScratch::new())
-    }
-
-    /// [`HuffmanEncoder::from_symbols`] with a recycled counting buffer.
     pub fn from_symbols_with(symbols: &[u32], scratch: &mut HuffmanScratch) -> Option<Self> {
         if symbols.is_empty() {
             return None;
@@ -359,14 +355,9 @@ impl HuffmanEncoder {
     ///
     /// Layout: varint symbol-count, then per symbol (varint symbol, u8
     /// length), then varint payload symbol count, varint payload byte
-    /// length, payload bits.
-    pub fn encode(&self, symbols: &[u32], out: &mut ByteWriter) {
-        self.encode_with(symbols, &mut Vec::new(), out);
-    }
-
-    /// [`HuffmanEncoder::encode`] with a recycled bitstream backing
-    /// store: the payload is accumulated in `bit_buf`'s allocation and
-    /// the buffer is handed back (holding the payload) for the next call.
+    /// length, payload bits. The payload is accumulated in `bit_buf`'s
+    /// allocation and the buffer is handed back (holding the payload)
+    /// for the next call.
     pub fn encode_with(&self, symbols: &[u32], bit_buf: &mut Vec<u8>, out: &mut ByteWriter) {
         out.put_varint(self.entries.len() as u64);
         for &(sym, len) in &self.entries {
@@ -485,18 +476,10 @@ impl HuffmanDecoder {
         })
     }
 
-    /// Decode a stream produced by [`HuffmanEncoder::encode`].
-    pub fn decode(reader: &mut ByteReader) -> Result<Vec<u32>> {
-        let mut out = Vec::new();
-        Self::decode_with(reader, &mut HuffmanScratch::new(), &mut out)?;
-        Ok(out)
-    }
-
-    /// [`HuffmanDecoder::decode`] with caller-provided working memory:
-    /// the serialized table, the canonical decoder tables (including the
+    /// Decode a stream produced by [`HuffmanEncoder::encode_with`]. The
+    /// serialized table, the canonical decoder tables (including the
     /// 2^11-entry primary lookup) and the output staging all live in
-    /// recycled buffers. `out` is cleared and filled with exactly the
-    /// symbols the allocating path returns.
+    /// recycled buffers; `out` is cleared and filled with the symbols.
     pub fn decode_with(
         reader: &mut ByteReader,
         scratch: &mut HuffmanScratch,
@@ -636,13 +619,23 @@ mod tests {
         }
     }
 
+    fn build(symbols: &[u32]) -> Option<HuffmanEncoder> {
+        HuffmanEncoder::from_symbols_with(symbols, &mut HuffmanScratch::new())
+    }
+
+    fn decode(reader: &mut ByteReader) -> Result<Vec<u32>> {
+        let mut out = Vec::new();
+        HuffmanDecoder::decode_with(reader, &mut HuffmanScratch::new(), &mut out)?;
+        Ok(out)
+    }
+
     fn roundtrip(symbols: &[u32]) -> Vec<u32> {
-        let enc = HuffmanEncoder::from_symbols(symbols).unwrap();
+        let enc = build(symbols).unwrap();
         let mut w = ByteWriter::new();
-        enc.encode(symbols, &mut w);
+        enc.encode_with(symbols, &mut Vec::new(), &mut w);
         let buf = w.finish();
         let mut r = ByteReader::new(&buf);
-        HuffmanDecoder::decode(&mut r).unwrap()
+        decode(&mut r).unwrap()
     }
 
     #[test]
@@ -674,9 +667,9 @@ mod tests {
         // 99% one symbol -> far below 32 bits/symbol.
         let mut data = vec![0u32; 9900];
         data.extend((1..101).map(|i| i as u32));
-        let enc = HuffmanEncoder::from_symbols(&data).unwrap();
+        let enc = build(&data).unwrap();
         let mut w = ByteWriter::new();
-        enc.encode(&data, &mut w);
+        enc.encode_with(&data, &mut Vec::new(), &mut w);
         let bytes = w.finish().len();
         assert!(
             bytes < data.len() / 2,
@@ -687,7 +680,7 @@ mod tests {
 
     #[test]
     fn empty_input_yields_none() {
-        assert!(HuffmanEncoder::from_symbols(&[]).is_none());
+        assert!(build(&[]).is_none());
     }
 
     #[test]
@@ -695,17 +688,17 @@ mod tests {
         let mut data = vec![5u32; 1000];
         data.extend(vec![6u32; 10]);
         data.extend(vec![7u32; 10]);
-        let enc = HuffmanEncoder::from_symbols(&data).unwrap();
+        let enc = build(&data).unwrap();
         assert!(enc.length_of(5).unwrap() <= enc.length_of(6).unwrap());
     }
 
     #[test]
     fn payload_bits_matches_encoded_len() {
         let data = vec![1, 1, 2, 3, 1, 2, 1];
-        let enc = HuffmanEncoder::from_symbols(&data).unwrap();
+        let enc = build(&data).unwrap();
         let bits = enc.payload_bits(&data).unwrap();
         let mut w = ByteWriter::new();
-        enc.encode(&data, &mut w);
+        enc.encode_with(&data, &mut Vec::new(), &mut w);
         let buf = w.finish();
         let mut r = ByteReader::new(&buf);
         // Skip table.
@@ -722,16 +715,13 @@ mod tests {
     #[test]
     fn truncated_stream_errors() {
         let data = vec![1, 2, 3, 1, 2, 3, 3, 3];
-        let enc = HuffmanEncoder::from_symbols(&data).unwrap();
+        let enc = build(&data).unwrap();
         let mut w = ByteWriter::new();
-        enc.encode(&data, &mut w);
+        enc.encode_with(&data, &mut Vec::new(), &mut w);
         let buf = w.finish();
         for cut in 0..buf.len() {
             let mut r = ByteReader::new(&buf[..cut]);
-            assert!(
-                HuffmanDecoder::decode(&mut r).is_err(),
-                "truncation at {cut} not detected"
-            );
+            assert!(decode(&mut r).is_err(), "truncation at {cut} not detected");
         }
     }
 
@@ -844,6 +834,6 @@ mod tests {
         w.put_u8(0); // invalid zero length
         let buf = w.finish();
         let mut r = ByteReader::new(&buf);
-        assert!(HuffmanDecoder::decode(&mut r).is_err());
+        assert!(decode(&mut r).is_err());
     }
 }

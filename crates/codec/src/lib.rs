@@ -12,8 +12,12 @@
 //! * [`lz`] — an LZSS dictionary coder standing in for zstd,
 //! * [`backend`] — the composed `bins → Huffman → LZSS` lossless backend,
 //! * [`scratch`] — reusable per-pipeline stage buffers; every stage above
-//!   has a `*_with` variant that stages its work in a recycled arena and
-//!   produces byte-identical output.
+//!   takes its working memory from a recycled arena (the `*_with`
+//!   functions), so repeated calls allocate nothing new.
+//!
+//! [`Compressor`] is the one codec interface: a scratch-taking
+//! `compress` and a `decompress_into`, plus [`decompress`] as the single
+//! allocating decode helper for one-shot callers.
 //!
 //! All decoders return [`CodecError`] on malformed input instead of
 //! panicking; corrupted streams must never crash a consumer.
@@ -29,15 +33,16 @@ pub mod simd;
 pub mod stream;
 
 pub use backend::{
-    decode_bins, decode_bins_with, encode_bins, encode_bins_with, lossless_compress,
-    lossless_compress_with, lossless_decompress, lossless_decompress_with,
+    decode_bins_with, encode_bins_with, lossless_compress_with, lossless_decompress_with,
 };
 pub use bits::{BitReader, BitWriter};
 pub use byteio::{ByteReader, ByteWriter};
 pub use huffman::{HuffmanDecoder, HuffmanEncoder};
 pub use quantizer::{LinearQuantizer, Quantized};
 pub use scratch::{EntropyScratch, GrowCounter, Scratch};
-pub use stream::{CompressStats, Compressor, CompressorId, ErrorBound, Header, TemporalMode};
+pub use stream::{
+    decompress, CompressStats, Compressor, CompressorId, ErrorBound, Header, TemporalMode,
+};
 
 /// Errors produced while decoding compressed streams.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -46,8 +51,7 @@ pub enum CodecError {
     UnexpectedEof,
     /// A header/field contained an invalid value.
     Corrupt(&'static str),
-    /// An underlying reader/writer failed while streaming a blob
-    /// ([`Compressor::compress_into`] / [`Compressor::decompress_from`]).
+    /// An underlying reader or writer failed.
     Io(String),
     /// The stream was produced by an incompatible format version.
     ///

@@ -62,16 +62,9 @@ impl LzScratch {
     }
 }
 
-/// Compress `input` with LZSS. The output starts with a varint of the
+/// Compress `input` with LZSS into `out` (cleared first), staging the
+/// match finder in `scratch`. The output starts with a varint of the
 /// uncompressed length.
-pub fn lzss_compress(input: &[u8]) -> Vec<u8> {
-    let mut out = Vec::new();
-    lzss_compress_with(input, &mut LzScratch::new(), &mut out);
-    out
-}
-
-/// [`lzss_compress`] with caller-provided working memory: clears `out`
-/// and fills it with exactly the bytes `lzss_compress` would return.
 pub fn lzss_compress_with(input: &[u8], scratch: &mut LzScratch, out: &mut Vec<u8>) {
     let mut w = ByteWriter::from_vec(std::mem::take(out));
     w.reserve(input.len() / 2 + 16);
@@ -162,17 +155,9 @@ pub fn lzss_compress_with(input: &[u8], scratch: &mut LzScratch, out: &mut Vec<u
     *out = w.finish();
 }
 
-/// Decompress a buffer produced by [`lzss_compress`].
-pub fn lzss_decompress(input: &[u8]) -> Result<Vec<u8>> {
-    let mut out = Vec::new();
-    lzss_decompress_with(input, &mut LzScratch::new(), &mut out)?;
-    Ok(out)
-}
-
-/// [`lzss_decompress`] with caller-provided working memory: the match
+/// Decompress a buffer produced by [`lzss_compress_with`]: the match
 /// list is staged in `scratch` and the decoded bytes replace the
-/// contents of `out` (cleared, capacity kept). Decoded bytes are
-/// identical to the allocating path.
+/// contents of `out` (cleared, capacity kept).
 pub fn lzss_decompress_with(
     input: &[u8],
     scratch: &mut LzScratch,
@@ -237,9 +222,21 @@ pub fn lzss_decompress_with(
 mod tests {
     use super::*;
 
+    fn pack(input: &[u8]) -> Vec<u8> {
+        let mut out = Vec::new();
+        lzss_compress_with(input, &mut LzScratch::new(), &mut out);
+        out
+    }
+
+    fn unpack(input: &[u8]) -> Result<Vec<u8>> {
+        let mut out = Vec::new();
+        lzss_decompress_with(input, &mut LzScratch::new(), &mut out)?;
+        Ok(out)
+    }
+
     fn roundtrip(data: &[u8]) {
-        let c = lzss_compress(data);
-        let d = lzss_decompress(&c).unwrap();
+        let c = pack(data);
+        let d = unpack(&c).unwrap();
         assert_eq!(d, data);
     }
 
@@ -256,7 +253,7 @@ mod tests {
     #[test]
     fn roundtrip_repetitive() {
         let data: Vec<u8> = b"abcdefgh".iter().cycle().take(10_000).copied().collect();
-        let c = lzss_compress(&data);
+        let c = pack(&data);
         assert!(
             c.len() < data.len() / 4,
             "repetitive data should compress well, got {} for {}",
@@ -306,10 +303,10 @@ mod tests {
     #[test]
     fn truncated_stream_errors() {
         let data: Vec<u8> = b"hello world hello world hello world".to_vec();
-        let c = lzss_compress(&data);
+        let c = pack(&data);
         for cut in 0..c.len() {
             assert!(
-                lzss_decompress(&c[..cut]).is_err(),
+                unpack(&c[..cut]).is_err(),
                 "truncation at {cut} not detected"
             );
         }
@@ -329,6 +326,6 @@ mod tests {
         w.put_u16(9);
         w.put_u8(0);
         let buf = w.finish();
-        assert!(lzss_decompress(&buf).is_err());
+        assert!(unpack(&buf).is_err());
     }
 }

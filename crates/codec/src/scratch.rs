@@ -10,9 +10,9 @@
 //! re-grow automatically when a larger or differently-shaped input
 //! arrives, so one arena can serve arbitrary inputs safely.
 //!
-//! Scratch-based entry points are required to be **byte-identical** to
-//! their allocating counterparts — the arena changes where bytes are
-//! staged, never which bytes are produced. The golden-bitstream tests
+//! A reused arena must produce exactly the bytes of a fresh one — the
+//! arena changes where bytes are staged, never which bytes are
+//! produced. The golden-bitstream tests and `tests/decompress_reuse.rs`
 //! pin this.
 
 use crate::huffman::HuffmanScratch;

@@ -93,7 +93,7 @@ impl AblationVariant {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use qoz_codec::ErrorBound;
+    use qoz_codec::{decompress, Compressor, ErrorBound, Scratch};
     use qoz_datagen::{Dataset, SizeClass};
 
     #[test]
@@ -121,8 +121,8 @@ mod tests {
         let abs = bound.absolute(&data);
         for v in &AblationVariant::ALL[1..] {
             let c = v.compressor(QualityMetric::Psnr);
-            let blob = c.compress_typed(&data, bound);
-            let recon = c.decompress_typed::<f32>(&blob).unwrap();
+            let blob = c.compress(&data, bound, &mut Scratch::new());
+            let recon = decompress::<f32>(&c, &blob).unwrap();
             assert!(
                 data.max_abs_diff(&recon) <= abs * (1.0 + 1e-12),
                 "{} violates bound",

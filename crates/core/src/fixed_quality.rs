@@ -13,10 +13,10 @@
 
 use crate::{Qoz, QozPlan};
 use qoz_codec::stream::{Compressor, ErrorBound};
-use qoz_codec::Result;
+use qoz_codec::{Result, Scratch};
 use qoz_metrics::{psnr, ssim};
 use qoz_sz3::{compress_with_spec, InterpSpec};
-use qoz_tensor::{sample_blocks, NdArray, SamplePlan, Scalar};
+use qoz_tensor::{sample_blocks, NdArray, SamplePlan, Scalar, Shape};
 
 /// A quality target for [`Qoz::compress_to_quality`].
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -31,6 +31,14 @@ impl QualityTarget {
     fn satisfied(&self, achieved: f64) -> bool {
         match self {
             QualityTarget::Psnr(t) | QualityTarget::Ssim(t) => achieved >= *t,
+        }
+    }
+
+    /// This target's metric of `recon` against `data`.
+    fn measure<T: Scalar>(&self, data: &NdArray<T>, recon: &NdArray<T>) -> f64 {
+        match self {
+            QualityTarget::Psnr(_) => psnr(data, recon),
+            QualityTarget::Ssim(_) => ssim(data, recon),
         }
     }
 }
@@ -67,13 +75,12 @@ where
     T: Scalar,
     C: Compressor<T> + ?Sized,
 {
-    let measure = |blob: &[u8]| -> Result<(NdArray<T>, f64)> {
-        let recon = codec.decompress(blob)?;
-        let achieved = match target {
-            QualityTarget::Psnr(_) => psnr(data, &recon),
-            QualityTarget::Ssim(_) => ssim(data, &recon),
-        };
-        Ok((recon, achieved))
+    let mut scratch = Scratch::new();
+    let mut recon = NdArray::zeros(Shape::d1(1));
+    let mut probe = |eps: f64| -> Result<(Vec<u8>, f64)> {
+        let blob = codec.compress(data, ErrorBound::Rel(eps), &mut scratch);
+        codec.decompress_into(&blob, &mut scratch, &mut recon)?;
+        Ok((blob, target.measure(data, &recon)))
     };
 
     // Geometric bisection: lo is the largest bound *known* to satisfy
@@ -83,8 +90,7 @@ where
     let mut best: Option<TargetOutcome> = None;
     for _ in 0..12 {
         let mid = (lo * hi).sqrt();
-        let blob = codec.compress(data, ErrorBound::Rel(mid));
-        let (_, achieved) = measure(&blob)?;
+        let (blob, achieved) = probe(mid)?;
         if target.satisfied(achieved) {
             lo = mid;
             best = Some(TargetOutcome {
@@ -101,8 +107,7 @@ where
         None => {
             // Nothing in the range satisfied the target: fall back to the
             // tightest bound and report what it achieves.
-            let blob = codec.compress(data, ErrorBound::Rel(lo));
-            let (_, achieved) = measure(&blob)?;
+            let (blob, achieved) = probe(lo)?;
             Ok(TargetOutcome {
                 blob,
                 rel_bound: lo,
@@ -134,9 +139,10 @@ where
     let mut lo = 1e-7f64;
     let mut hi = 0.3f64;
     let mut best: Option<(f64, TargetOutcome)> = None;
+    let mut scratch = Scratch::new();
     for _ in 0..iterations.max(1) {
         let mid = (lo * hi).sqrt();
-        let blob = codec.compress(data, ErrorBound::Rel(mid));
+        let blob = codec.compress(data, ErrorBound::Rel(mid), &mut scratch);
         let cr = raw / blob.len().max(1) as f64;
         let dist = (cr / target_cr).ln().abs();
         if best.as_ref().map_or(true, |(d, _)| dist < *d) {
@@ -245,46 +251,35 @@ impl Qoz {
 
         // Full pass with the real tuner; verify and tighten if the
         // sampled estimate was optimistic.
+        let mut scratch = Scratch::new();
+        let mut recon = NdArray::zeros(Shape::d1(1));
+        let mut full_pass = |eps: f64| -> Result<FixedQualityResult> {
+            let plan = self.plan(data, ErrorBound::Rel(eps));
+            let blob = self.compress_with_plan(data, &plan, &mut scratch);
+            self.decompress_into(&blob, &mut scratch, &mut recon)?;
+            Ok(FixedQualityResult {
+                blob,
+                rel_bound: eps,
+                achieved: target.measure(data, &recon),
+                plan,
+            })
+        };
         for _attempt in 0..4 {
-            let bound = ErrorBound::Rel(eps);
-            let plan = self.plan(data, bound);
-            let blob = self.compress_with_plan(data, &plan);
-            let recon: NdArray<T> = self.decompress_typed(&blob)?;
-            let achieved = match target {
-                QualityTarget::Psnr(_) => psnr(data, &recon),
-                QualityTarget::Ssim(_) => ssim(data, &recon),
-            };
-            if target.satisfied(achieved) || eps <= 2e-8 {
-                return Ok(FixedQualityResult {
-                    blob,
-                    rel_bound: eps,
-                    achieved,
-                    plan,
-                });
+            let r = full_pass(eps)?;
+            if target.satisfied(r.achieved) || eps <= 2e-8 {
+                return Ok(r);
             }
             eps /= 2.0;
         }
         // Final fallback at the tightest bound tried.
-        let bound = ErrorBound::Rel(eps);
-        let plan = self.plan(data, bound);
-        let blob = self.compress_with_plan(data, &plan);
-        let recon: NdArray<T> = self.decompress_typed(&blob)?;
-        let achieved = match target {
-            QualityTarget::Psnr(_) => psnr(data, &recon),
-            QualityTarget::Ssim(_) => ssim(data, &recon),
-        };
-        Ok(FixedQualityResult {
-            blob,
-            rel_bound: eps,
-            achieved,
-            plan,
-        })
+        full_pass(eps)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use qoz_codec::decompress;
     use qoz_datagen::{Dataset, SizeClass};
 
     #[test]
@@ -338,7 +333,7 @@ mod tests {
         let data = Dataset::CesmAtm.generate(SizeClass::Tiny, 0);
         let sz3 = qoz_sz3::Sz3::default();
         let r = compress_codec_to_quality(&sz3, &data, QualityTarget::Psnr(55.0)).unwrap();
-        let recon: NdArray<f32> = sz3.decompress(&r.blob).unwrap();
+        let recon: NdArray<f32> = decompress(&sz3, &r.blob).unwrap();
         assert!(r.achieved >= 55.0, "achieved {:.2}", r.achieved);
         assert!((psnr(&data, &recon) - r.achieved).abs() < 1e-9);
         // The search must not collapse to the floor bound when the target
@@ -379,7 +374,7 @@ mod tests {
         let r = qoz
             .compress_to_quality(&data, QualityTarget::Psnr(60.0))
             .unwrap();
-        let recon: qoz_tensor::NdArray<f32> = qoz.decompress_typed(&r.blob).unwrap();
+        let recon: NdArray<f32> = decompress(&qoz, &r.blob).unwrap();
         let abs = r.rel_bound * data.value_range();
         assert!(data.max_abs_diff(&recon) <= abs * (1.0 + 1e-9));
     }

@@ -501,6 +501,7 @@ pub fn decode_snapshots(bytes: &[u8]) -> qoz_codec::Result<Vec<PlanSnapshot>> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use qoz_codec::{decompress, Scratch};
     use qoz_datagen::{Dataset, SizeClass};
     use qoz_tensor::NdArray;
 
@@ -594,8 +595,8 @@ mod tests {
         assert_eq!(plan.abs_eb, abs);
         assert_eq!(plan.spec.level_ebs[0], abs);
         // And the compressed stream honors it.
-        let blob = qoz.compress_with_plan(&scaled, &plan);
-        let recon = qoz.decompress_typed::<f32>(&blob).unwrap();
+        let blob = qoz.compress_with_plan(&scaled, &plan, &mut Scratch::new());
+        let recon = decompress::<f32>(&qoz, &blob).unwrap();
         assert!(scaled.max_abs_diff(&recon) <= abs * (1.0 + 1e-9));
     }
 

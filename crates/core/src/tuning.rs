@@ -8,7 +8,7 @@
 //! candidates matter.
 
 use crate::config::level_error_bounds;
-use qoz_codec::LinearQuantizer;
+use qoz_codec::{EntropyScratch, LinearQuantizer};
 use qoz_metrics::{autocorr, ssim, QualityMetric};
 use qoz_predict::{base_point_count, traverse_level, LevelConfig};
 use qoz_sz3::{compress_with_spec, InterpSpec};
@@ -194,7 +194,9 @@ fn run_trial<T: Scalar>(
     }
     // Paper §VI-A: prediction runs per block, but the entropy stage is
     // applied to the *aggregated* bins for an accurate bit-rate estimate.
-    let bins_bits = qoz_codec::encode_bins(&all_bins).len() as f64 * 8.0;
+    let mut packed = Vec::new();
+    qoz_codec::encode_bins_with(&all_bins, &mut EntropyScratch::new(), &mut packed);
+    let bins_bits = packed.len() as f64 * 8.0;
     TrialResult {
         bits_per_point: (bins_bits + side_bytes as f64 * 8.0) / points.max(1) as f64,
         metric: aggregate_metric(metric, blocks, &recons, global_range),

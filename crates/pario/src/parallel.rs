@@ -54,7 +54,7 @@ pub fn compress_chunks<T, C>(
 ) -> Vec<Vec<u8>>
 where
     T: Scalar,
-    C: Compressor<T> + Sync + ?Sized,
+    C: Compressor<T> + ?Sized,
 {
     if chunks.is_empty() {
         return Vec::new();
@@ -66,11 +66,11 @@ where
     std::thread::scope(|s| {
         for (out_slab, in_slab) in results.chunks_mut(per).zip(chunks.chunks(per)) {
             s.spawn(move || {
-                // One arena per worker: reused across every chunk of the
-                // slab, byte-identical to the scratchless path.
+                // One arena per worker, reused across every chunk of the
+                // slab.
                 let mut scratch = Scratch::new();
                 for (out, chunk) in out_slab.iter_mut().zip(in_slab) {
-                    *out = compressor.compress_with_scratch(chunk, bound, &mut scratch);
+                    *out = compressor.compress(chunk, bound, &mut scratch);
                 }
             });
         }
@@ -82,10 +82,10 @@ where
 /// Compress every chunk with `threads` workers and stream the blobs, in
 /// chunk order, into `sink`; returns per-chunk byte counts.
 ///
-/// This is the chunked-dump path of the streaming API: callers that
-/// persist blobs back-to-back (the archive writer's payload, a per-rank
-/// dump file) take the per-chunk sizes for their index instead of
-/// holding a `Vec<Vec<u8>>` of their own. The parallel stage still
+/// This is the chunked-dump path: callers that persist blobs
+/// back-to-back (the archive writer's payload, a per-rank dump file)
+/// take the per-chunk sizes for their index instead of holding a
+/// `Vec<Vec<u8>>` of their own. The parallel stage still
 /// materializes every blob before the ordered write-out begins (chunk
 /// order must be preserved), so peak memory during compression is
 /// unchanged — what the sink variant removes is the *caller's* second
@@ -99,7 +99,7 @@ pub fn compress_chunks_into<T, C>(
 ) -> Result<Vec<u64>>
 where
     T: Scalar,
-    C: Compressor<T> + Sync + ?Sized,
+    C: Compressor<T> + ?Sized,
 {
     let blobs = compress_chunks(compressor, chunks, bound, threads);
     let mut lens = Vec::with_capacity(blobs.len());
@@ -119,7 +119,7 @@ pub fn decompress_chunks<T, C>(
 ) -> Result<Vec<NdArray<T>>>
 where
     T: Scalar,
-    C: Compressor<T> + Sync + ?Sized,
+    C: Compressor<T> + ?Sized,
 {
     if blobs.is_empty() {
         return Ok(Vec::new());
@@ -131,12 +131,13 @@ where
     std::thread::scope(|s| {
         for (out_slab, in_slab) in results.chunks_mut(per).zip(blobs.chunks(per)) {
             s.spawn(move || {
-                // One arena per worker, mirroring `compress_chunks`:
-                // the decode slab reuses its stage buffers across every
-                // blob, with values identical to the allocating path.
+                // One arena per worker, mirroring `compress_chunks`: the
+                // decode slab reuses its stage buffers across every blob.
                 let mut scratch = Scratch::new();
                 for (out, blob) in out_slab.iter_mut().zip(in_slab) {
-                    *out = Some(compressor.decompress_with_scratch(blob, &mut scratch));
+                    let mut arr = NdArray::zeros(Shape::d1(1));
+                    let res = compressor.decompress_into(blob, &mut scratch, &mut arr);
+                    *out = Some(res.map(|()| arr));
                 }
             });
         }
@@ -207,7 +208,10 @@ mod tests {
 
         let par = compress_chunks(&c, &chunks, bound, 4);
         // Serial reference.
-        let ser: Vec<Vec<u8>> = chunks.iter().map(|ch| c.compress(ch, bound)).collect();
+        let ser: Vec<Vec<u8>> = chunks
+            .iter()
+            .map(|ch| c.compress(ch, bound, &mut Scratch::new()))
+            .collect();
         assert_eq!(par, ser, "parallel compression must be deterministic");
 
         // The streaming variant emits the same bytes, concatenated, and

@@ -17,7 +17,10 @@
 //! ratios on smooth data.
 
 use qoz_codec::stream::{self, Compressor, CompressorId, ErrorBound, Header};
-use qoz_codec::{ByteReader, ByteWriter, CodecError, LinearQuantizer, Result};
+use qoz_codec::{
+    decode_bins_with, encode_bins_with, lossless_compress_with, lossless_decompress_with,
+    ByteReader, ByteWriter, CodecError, LinearQuantizer, Result, Scratch,
+};
 use qoz_predict::{lorenzo2_predict, lorenzo_predict, RegressionModel};
 use qoz_tensor::{NdArray, Region, Scalar, Shape};
 
@@ -75,9 +78,12 @@ pub struct Sz2 {
     pub block_side: Option<usize>,
 }
 
-impl Sz2 {
-    /// Typed compression entry point.
-    pub fn compress_typed<T: Scalar>(&self, data: &NdArray<T>, bound: ErrorBound) -> Vec<u8> {
+impl<T: Scalar> Compressor<T> for Sz2 {
+    fn id(&self) -> CompressorId {
+        CompressorId::Sz2
+    }
+
+    fn compress(&self, data: &NdArray<T>, bound: ErrorBound, scratch: &mut Scratch<T>) -> Vec<u8> {
         let abs_eb = bound.absolute(data);
         let shape = data.shape();
         let side = self.block_side.unwrap_or(default_block_side(shape.ndim()));
@@ -85,9 +91,12 @@ impl Sz2 {
         let quant = LinearQuantizer::new(abs_eb);
         let step = coef_step(abs_eb, side);
 
-        let mut work = data.clone();
-        let mut bins: Vec<u32> = Vec::with_capacity(data.len());
-        let mut unpred = ByteWriter::new();
+        scratch.clear();
+        scratch.load_work(data.as_slice());
+        let work = &mut scratch.work;
+        let bins = &mut scratch.bins;
+        bins.reserve(data.len());
+        let mut unpred = ByteWriter::from_vec(std::mem::take(&mut scratch.unpred));
         let mut selector_codes: Vec<u32> = Vec::with_capacity(blocks.len());
         let mut coef_codes: Vec<i64> = Vec::new();
 
@@ -117,20 +126,19 @@ impl Sz2 {
                 let off = shape.offset(&gidx[..nd]);
                 let pred = match choice {
                     BlockPredictor::Regression => model.predict(&local[..nd]),
-                    BlockPredictor::Lorenzo => lorenzo_predict(work.as_slice(), shape, &gidx[..nd]),
-                    BlockPredictor::Lorenzo2 => {
-                        lorenzo2_predict(work.as_slice(), shape, &gidx[..nd])
-                    }
+                    BlockPredictor::Lorenzo => lorenzo_predict(work, shape, &gidx[..nd]),
+                    BlockPredictor::Lorenzo2 => lorenzo2_predict(work, shape, &gidx[..nd]),
                 };
-                let v = work.as_slice()[off];
+                let v = work[off];
                 let qz = quant.quantize(v, pred);
                 if qz.code == 0 {
                     unpred.put_bytes(&v.to_le_bytes_vec());
                 }
                 bins.push(qz.code);
-                work.as_mut_slice()[off] = qz.reconstructed;
+                work[off] = qz.reconstructed;
             }
         }
+        scratch.unpred = unpred.finish();
 
         // Serialize: header, block side, selector bitmap, coefficients,
         // bins, unpredictables.
@@ -146,19 +154,28 @@ impl Sz2 {
             },
         );
         w.put_varint(side as u64);
-        w.put_len_prefixed(&qoz_codec::encode_bins(&selector_codes));
+        let (es, section) = (&mut scratch.entropy, &mut scratch.section);
+        encode_bins_with(&selector_codes, es, section);
+        w.put_len_prefixed(section);
         let mut coefs = ByteWriter::new();
         for &c in &coef_codes {
             coefs.put_varint(zigzag(c));
         }
-        w.put_len_prefixed(&qoz_codec::lossless_compress(&coefs.finish()));
-        w.put_len_prefixed(&qoz_codec::encode_bins(&bins));
-        w.put_len_prefixed(&qoz_codec::lossless_compress(&unpred.finish()));
+        lossless_compress_with(&coefs.finish(), es, section);
+        w.put_len_prefixed(section);
+        encode_bins_with(&scratch.bins, es, section);
+        w.put_len_prefixed(section);
+        lossless_compress_with(&scratch.unpred, es, section);
+        w.put_len_prefixed(section);
         w.finish()
     }
 
-    /// Typed decompression entry point.
-    pub fn decompress_typed<T: Scalar>(&self, blob: &[u8]) -> Result<NdArray<T>> {
+    fn decompress_into(
+        &self,
+        blob: &[u8],
+        scratch: &mut Scratch<T>,
+        out: &mut NdArray<T>,
+    ) -> Result<()> {
         let mut r = ByteReader::new(blob);
         let header = stream::read_header(&mut r)?;
         if header.temporal.is_some() {
@@ -177,10 +194,15 @@ impl Sz2 {
         if side == 0 || side > 1 << 20 {
             return Err(CodecError::Corrupt("bad block side"));
         }
-        let selector_codes = qoz_codec::decode_bins(r.get_len_prefixed()?)?;
-        let coef_bytes = qoz_codec::lossless_decompress(r.get_len_prefixed()?)?;
-        let bins = qoz_codec::decode_bins(r.get_len_prefixed()?)?;
-        let unpred = qoz_codec::lossless_decompress(r.get_len_prefixed()?)?;
+        let es = &mut scratch.entropy;
+        let mut selector_codes = Vec::new();
+        decode_bins_with(r.get_len_prefixed()?, es, &mut selector_codes)?;
+        let coef_bytes = &mut scratch.section;
+        lossless_decompress_with(r.get_len_prefixed()?, es, coef_bytes)?;
+        let bins = &mut scratch.bins;
+        decode_bins_with(r.get_len_prefixed()?, es, bins)?;
+        let unpred = &mut scratch.unpred;
+        lossless_decompress_with(r.get_len_prefixed()?, es, unpred)?;
 
         let blocks = Region::tile(shape, side);
         if bins.len() != shape.len() {
@@ -189,14 +211,17 @@ impl Sz2 {
         if selector_codes.len() != blocks.len() {
             return Err(CodecError::Corrupt("selector count mismatch"));
         }
-        let mut coef_reader = ByteReader::new(&coef_bytes);
-        let mut unpred_reader = ByteReader::new(&unpred);
+        let mut coef_reader = ByteReader::new(coef_bytes);
+        let mut unpred_reader = ByteReader::new(unpred);
         let quant = LinearQuantizer::new(header.abs_eb);
         let step = coef_step(header.abs_eb, side);
         let nd = shape.ndim();
         let n_coefs = nd + 1;
 
-        let mut work = NdArray::<T>::zeros(shape);
+        if out.reset_zeros(shape) {
+            scratch.grows.bump();
+        }
+        let work = out.as_mut_slice();
         let mut bin_pos = 0usize;
         for (region, &sel) in blocks.iter().zip(&selector_codes) {
             let choice = BlockPredictor::from_code(sel)?;
@@ -218,24 +243,22 @@ impl Sz2 {
                 let off = shape.offset(&gidx[..nd]);
                 let pred = match (&model, choice) {
                     (Some(m), _) => m.predict(&local[..nd]),
-                    (None, BlockPredictor::Lorenzo2) => {
-                        lorenzo2_predict(work.as_slice(), shape, &gidx[..nd])
-                    }
-                    (None, _) => lorenzo_predict(work.as_slice(), shape, &gidx[..nd]),
+                    (None, BlockPredictor::Lorenzo2) => lorenzo2_predict(work, shape, &gidx[..nd]),
+                    (None, _) => lorenzo_predict(work, shape, &gidx[..nd]),
                 };
                 let code = bins[bin_pos];
                 bin_pos += 1;
                 if code == 0 {
                     let b = unpred_reader.get_bytes(T::BYTES)?;
-                    work.as_mut_slice()[off] = T::from_le_slice(b);
+                    work[off] = T::from_le_slice(b);
                 } else if code >= quant.num_codes() {
                     return Err(CodecError::Corrupt("bin code out of range"));
                 } else {
-                    work.as_mut_slice()[off] = quant.reconstruct(code, pred);
+                    work[off] = quant.reconstruct(code, pred);
                 }
             }
         }
-        Ok(work)
+        Ok(())
     }
 }
 
@@ -302,21 +325,10 @@ fn unzigzag(v: u64) -> i64 {
     ((v >> 1) as i64) ^ -((v & 1) as i64)
 }
 
-impl<T: Scalar> Compressor<T> for Sz2 {
-    fn id(&self) -> CompressorId {
-        CompressorId::Sz2
-    }
-    fn compress(&self, data: &NdArray<T>, bound: ErrorBound) -> Vec<u8> {
-        self.compress_typed(data, bound)
-    }
-    fn decompress(&self, blob: &[u8]) -> Result<NdArray<T>> {
-        self.decompress_typed(blob)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use qoz_codec::decompress;
     use qoz_datagen::{Dataset, SizeClass};
     use qoz_metrics::verify_error_bound;
 
@@ -333,8 +345,8 @@ mod tests {
             let data = ds.generate(SizeClass::Tiny, 0);
             let bound = ErrorBound::Rel(1e-3);
             let abs = bound.absolute(&data);
-            let blob = Sz2::default().compress_typed(&data, bound);
-            let recon = Sz2::default().decompress_typed::<f32>(&blob).unwrap();
+            let blob = Sz2::default().compress(&data, bound, &mut Scratch::new());
+            let recon = decompress::<f32>(&Sz2::default(), &blob).unwrap();
             assert_eq!(
                 verify_error_bound(&data, &recon, abs),
                 None,
@@ -349,8 +361,8 @@ mod tests {
         let data = NdArray::from_fn(Shape::d2(40, 40), |i| {
             (i[0] as f64 * 0.17).sin() + i[1] as f64 * 0.03
         });
-        let blob = Sz2::default().compress_typed(&data, ErrorBound::Abs(1e-5));
-        let recon = Sz2::default().decompress_typed::<f64>(&blob).unwrap();
+        let blob = Sz2::default().compress(&data, ErrorBound::Abs(1e-5), &mut Scratch::new());
+        let recon = decompress::<f64>(&Sz2::default(), &blob).unwrap();
         assert!(data.max_abs_diff(&recon) <= 1e-5);
     }
 
@@ -361,8 +373,8 @@ mod tests {
         let data = NdArray::from_fn(Shape::d2(48, 48), |i| {
             (i[0] as f32) * 0.5 - (i[1] as f32) * 0.25
         });
-        let blob = Sz2::default().compress_typed(&data, ErrorBound::Abs(1e-4));
-        let recon = Sz2::default().decompress_typed::<f32>(&blob).unwrap();
+        let blob = Sz2::default().compress(&data, ErrorBound::Abs(1e-4), &mut Scratch::new());
+        let recon = decompress::<f32>(&Sz2::default(), &blob).unwrap();
         assert!(data.max_abs_diff(&recon) <= 1e-4);
         let cr = (data.len() * 4) as f64 / blob.len() as f64;
         assert!(cr > 8.0, "gradient should compress well, CR {cr:.1}");
@@ -371,19 +383,17 @@ mod tests {
     #[test]
     fn one_dimensional_roundtrip() {
         let data = NdArray::from_fn(Shape::d1(1000), |i| ((i[0] as f32) * 0.02).sin());
-        let blob = Sz2::default().compress_typed(&data, ErrorBound::Abs(1e-3));
-        let recon = Sz2::default().decompress_typed::<f32>(&blob).unwrap();
+        let blob = Sz2::default().compress(&data, ErrorBound::Abs(1e-3), &mut Scratch::new());
+        let recon = decompress::<f32>(&Sz2::default(), &blob).unwrap();
         assert!(data.max_abs_diff(&recon) <= 1e-3);
     }
 
     #[test]
     fn truncated_stream_rejected() {
         let data = NdArray::from_fn(Shape::d2(30, 30), |i| (i[0] * i[1]) as f32);
-        let blob = Sz2::default().compress_typed(&data, ErrorBound::Abs(1e-2));
+        let blob = Sz2::default().compress(&data, ErrorBound::Abs(1e-2), &mut Scratch::new());
         for cut in [5, blob.len() / 3, blob.len() - 1] {
-            assert!(Sz2::default()
-                .decompress_typed::<f32>(&blob[..cut])
-                .is_err());
+            assert!(decompress::<f32>(&Sz2::default(), &blob[..cut]).is_err());
         }
     }
 
@@ -393,8 +403,8 @@ mod tests {
         let sz2 = Sz2 {
             block_side: Some(9),
         };
-        let blob = sz2.compress_typed(&data, ErrorBound::Rel(1e-3));
-        let recon = sz2.decompress_typed::<f32>(&blob).unwrap();
+        let blob = sz2.compress(&data, ErrorBound::Rel(1e-3), &mut Scratch::new());
+        let recon = decompress::<f32>(&sz2, &blob).unwrap();
         let abs = ErrorBound::Rel(1e-3).absolute(&data);
         assert!(data.max_abs_diff(&recon) <= abs);
     }
@@ -404,8 +414,8 @@ mod tests {
         for dims in [vec![7usize, 13], vec![5, 5, 5], vec![1, 17], vec![19]] {
             let shape = Shape::new(&dims);
             let data = NdArray::from_fn(shape, |i| (i[0] as f32 + 0.5).ln());
-            let blob = Sz2::default().compress_typed(&data, ErrorBound::Abs(1e-3));
-            let recon = Sz2::default().decompress_typed::<f32>(&blob).unwrap();
+            let blob = Sz2::default().compress(&data, ErrorBound::Abs(1e-3), &mut Scratch::new());
+            let recon = decompress::<f32>(&Sz2::default(), &blob).unwrap();
             assert!(data.max_abs_diff(&recon) <= 1e-3, "dims {dims:?}");
         }
     }

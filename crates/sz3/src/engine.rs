@@ -381,8 +381,7 @@ pub fn check_stream_header<T: Scalar>(
 /// entropy-coded bins, packed side streams — staging every section in
 /// `scratch`, then rebuild the array into `out` (reshaped in place).
 /// The read-side mirror of [`compress_with_spec_into`] +
-/// [`write_stream`]; decoded values are bitwise-identical to the
-/// allocating [`decompress_with_spec`] chain.
+/// [`write_stream`].
 pub fn read_stream_into<T: Scalar>(
     r: &mut ByteReader,
     header: &Header,
@@ -418,25 +417,12 @@ pub fn read_stream_into<T: Scalar>(
     Ok(())
 }
 
-/// Mirror of [`compress_with_spec`]: rebuild the array from streams.
-pub fn decompress_with_spec<T: Scalar>(
-    shape: Shape,
-    spec: &InterpSpec,
-    bins: &[u32],
-    unpred: &[u8],
-    anchors: &[u8],
-) -> Result<NdArray<T>> {
-    let mut work = NdArray::<T>::zeros(shape);
-    decompress_with_spec_into(shape, spec, bins, unpred, anchors, &mut work)?;
-    Ok(work)
-}
-
-/// [`decompress_with_spec`] into a caller-provided array: `out` is
-/// reshaped to `shape` (reusing its allocation when capacity allows,
-/// zero-filled first like the allocating path) and rebuilt in place.
-/// Returns `true` when `out`'s backing buffer had to grow, so callers
-/// tracking zero-allocation steady state can count the event. The
-/// reconstruction is bitwise-identical to [`decompress_with_spec`].
+/// Mirror of [`compress_with_spec_into`]: rebuild the array from the
+/// three engine streams into `out`, which is reshaped to `shape`
+/// (reusing its allocation when capacity allows, zero-filled first) and
+/// rebuilt in place. Returns `true` when `out`'s backing buffer had to
+/// grow, so callers tracking zero-allocation steady state can count the
+/// event.
 pub fn decompress_with_spec_into<T: Scalar>(
     shape: Shape,
     spec: &InterpSpec,
@@ -546,6 +532,18 @@ mod tests {
     use super::*;
     use qoz_predict::LevelConfig;
 
+    fn decode<T: Scalar>(
+        shape: Shape,
+        spec: &InterpSpec,
+        bins: &[u32],
+        unpred: &[u8],
+        anchors: &[u8],
+    ) -> Result<NdArray<T>> {
+        let mut out = NdArray::zeros(shape);
+        decompress_with_spec_into(shape, spec, bins, unpred, anchors, &mut out)?;
+        Ok(out)
+    }
+
     fn smooth_3d(n: usize) -> NdArray<f64> {
         NdArray::from_fn(Shape::d3(n, n, n), |i| {
             (i[0] as f64 * 0.2).sin() + (i[1] as f64 * 0.15).cos() + i[2] as f64 * 0.01
@@ -560,14 +558,8 @@ mod tests {
             InterpSpec::anchored(8, 1e-3, LevelConfig::default()),
         ] {
             let out = compress_with_spec(&data, &spec);
-            let recon = decompress_with_spec::<f64>(
-                data.shape(),
-                &spec,
-                &out.bins,
-                &out.unpred,
-                &out.anchors,
-            )
-            .unwrap();
+            let recon =
+                decode::<f64>(data.shape(), &spec, &out.bins, &out.unpred, &out.anchors).unwrap();
             assert_eq!(out.recon.as_slice(), recon.as_slice(), "spec {spec:?}");
         }
     }
@@ -613,10 +605,7 @@ mod tests {
         let spec = InterpSpec::sz3(data.shape(), 1e-3, LevelConfig::default());
         let out = compress_with_spec(&data, &spec);
         let short = &out.bins[..out.bins.len() - 1];
-        assert!(
-            decompress_with_spec::<f64>(data.shape(), &spec, short, &out.unpred, &out.anchors)
-                .is_err()
-        );
+        assert!(decode::<f64>(data.shape(), &spec, short, &out.unpred, &out.anchors).is_err());
     }
 
     #[test]
@@ -626,10 +615,7 @@ mod tests {
         let out = compress_with_spec(&data, &spec);
         let mut long = out.bins.clone();
         long.push(32768);
-        assert!(
-            decompress_with_spec::<f64>(data.shape(), &spec, &long, &out.unpred, &out.anchors)
-                .is_err()
-        );
+        assert!(decode::<f64>(data.shape(), &spec, &long, &out.unpred, &out.anchors).is_err());
     }
 
     #[test]
@@ -642,7 +628,7 @@ mod tests {
         let spec = InterpSpec::sz3(data.shape(), 1e-12, LevelConfig::default());
         let out = compress_with_spec(&data, &spec);
         assert!(!out.unpred.is_empty(), "test needs unpredictable points");
-        assert!(decompress_with_spec::<f64>(
+        assert!(decode::<f64>(
             data.shape(),
             &spec,
             &out.bins,

@@ -309,22 +309,6 @@ pub fn enabled() -> bool {
     SPANS_ENABLED.load(Ordering::Relaxed)
 }
 
-/// Observer of completed spans, for routing timings somewhere else
-/// (a test collector, an external tracer). At most one per process;
-/// the built-in accumulation into [`StageTimer`] always happens.
-pub trait Subscriber: Send + Sync {
-    /// Called once per completed span with its stage name and duration.
-    fn on_span(&self, stage: &'static str, dur_ns: u64);
-}
-
-static SUBSCRIBER: OnceLock<Box<dyn Subscriber>> = OnceLock::new();
-
-/// Install the process-wide span subscriber. First caller wins; returns
-/// whether this call installed it.
-pub fn set_subscriber(sub: Box<dyn Subscriber>) -> bool {
-    SUBSCRIBER.set(sub).is_ok()
-}
-
 /// Accumulated wall time and call count for one named pipeline stage.
 #[derive(Debug)]
 pub struct StageTimer {
@@ -374,9 +358,6 @@ impl StageTimer {
     pub fn record_ns(&self, ns: u64) {
         self.sum_ns.fetch_add(ns, Ordering::Relaxed);
         self.count.fetch_add(1, Ordering::Relaxed);
-        if let Some(sub) = SUBSCRIBER.get() {
-            sub.on_span(self.name, ns);
-        }
     }
 
     /// Total nanoseconds accumulated.

@@ -340,7 +340,7 @@ pub fn accumulate_residual<T: Scalar>(acc: &mut NdArray<T>, add: &NdArray<T>) ->
 #[cfg(test)]
 mod tests {
     use super::*;
-    use qoz_codec::Compressor;
+    use qoz_codec::{decompress, Compressor, Scratch};
     use qoz_sz3::Sz3;
     use qoz_tensor::Shape;
 
@@ -365,8 +365,8 @@ mod tests {
                 .compress_next(
                     s,
                     bound,
-                    |d, b| codec.compress(d, b),
-                    |b| codec.decompress(b),
+                    |d, b| codec.compress(d, b, &mut Scratch::new()),
+                    |b| decompress(&codec, b),
                 )
                 .unwrap();
             outcomes.push(outcome);
@@ -375,7 +375,9 @@ mod tests {
         let mut dec = TemporalSession::<f64>::new();
         for (s, frame) in snaps.iter().zip(&frames) {
             let abs = bound.absolute(s);
-            let recon = dec.decompress_next(frame, |b| codec.decompress(b)).unwrap();
+            let recon = dec
+                .decompress_next(frame, |b| decompress(&codec, b))
+                .unwrap();
             assert!(
                 s.max_abs_diff(recon) <= abs * (1.0 + 1e-9),
                 "chain member violated the composed bound"
@@ -413,8 +415,8 @@ mod tests {
                 .compress_next(
                     s,
                     ErrorBound::Abs(1e-3),
-                    |d, b| codec.compress(d, b),
-                    |b| codec.decompress(b),
+                    |d, b| codec.compress(d, b, &mut Scratch::new()),
+                    |b| decompress(&codec, b),
                 )
                 .unwrap();
             last = o;
@@ -429,8 +431,8 @@ mod tests {
         let b = NdArray::from_fn(Shape::d2(8, 8), |i| (i[0] + i[1]) as f64 * 0.1);
         let mut s = TemporalSession::<f64>::new();
         let bound = ErrorBound::Abs(1e-4);
-        let enc = |d: &NdArray<f64>, b: ErrorBound| codec.compress(d, b);
-        let dec = |b: &[u8]| codec.decompress(b);
+        let enc = |d: &NdArray<f64>, b: ErrorBound| codec.compress(d, b, &mut Scratch::new());
+        let dec = |b: &[u8]| decompress(&codec, b);
         let (o, _) = s.compress_next(&a, bound, enc, dec).unwrap();
         assert_eq!(o, TemporalOutcome::Keyframe);
         let (o, _) = s.compress_next(&b, bound, enc, dec).unwrap();
@@ -459,8 +461,8 @@ mod tests {
                 .compress_next(
                     s,
                     ErrorBound::Abs(1e-4),
-                    |d, b| codec.compress(d, b),
-                    |b| codec.decompress(b),
+                    |d, b| codec.compress(d, b, &mut Scratch::new()),
+                    |b| decompress(&codec, b),
                 )
                 .unwrap();
             frames.push(f);
@@ -468,7 +470,7 @@ mod tests {
         // Decoding the delta with no keyframe first must error cleanly.
         let mut dec = TemporalSession::<f64>::new();
         let err = dec
-            .decompress_next(&frames[1], |b| codec.decompress(b))
+            .decompress_next(&frames[1], |b| decompress(&codec, b))
             .unwrap_err();
         assert!(matches!(err, CodecError::Corrupt(_)), "{err}");
     }
@@ -485,25 +487,25 @@ mod tests {
                 enc.compress_next(
                     s,
                     bound,
-                    |d, b| codec.compress(d, b),
-                    |b| codec.decompress(b),
+                    |d, b| codec.compress(d, b, &mut Scratch::new()),
+                    |b| decompress(&codec, b),
                 )
                 .unwrap()
                 .1
             })
             .collect();
         // A pre-temporal plain stream interleaves fine: it resets state.
-        let plain = codec.compress(&snaps[0], bound);
+        let plain = codec.compress(&snaps[0], bound, &mut Scratch::new());
         let mut dec = TemporalSession::<f64>::new();
-        dec.decompress_next(&frames[0], |b| codec.decompress(b))
+        dec.decompress_next(&frames[0], |b| decompress(&codec, b))
             .unwrap();
-        dec.decompress_next(&plain, |b| codec.decompress(b))
+        dec.decompress_next(&plain, |b| decompress(&codec, b))
             .unwrap();
         // frames[1] is a delta against frames[0]'s reconstruction, which
         // equals the plain stream's reconstruction (same bytes inside),
         // so the chain continues correctly.
         let recon = dec
-            .decompress_next(&frames[1], |b| codec.decompress(b))
+            .decompress_next(&frames[1], |b| decompress(&codec, b))
             .unwrap();
         assert!(snaps[1].max_abs_diff(recon) <= 1e-4 * (1.0 + 1e-9));
     }
@@ -528,16 +530,16 @@ mod tests {
         s.compress_next(
             &base,
             bound,
-            |d, b| codec.compress(d, b),
-            |b| codec.decompress(b),
+            |d, b| codec.compress(d, b, &mut Scratch::new()),
+            |b| decompress(&codec, b),
         )
         .unwrap();
         let (outcome, frame) = s
             .compress_next(
                 &next,
                 bound,
-                |d, b| codec.compress(d, b),
-                |b| codec.decompress(b),
+                |d, b| codec.compress(d, b, &mut Scratch::new()),
+                |b| decompress(&codec, b),
             )
             .unwrap();
         assert_eq!(outcome, TemporalOutcome::Delta);
@@ -569,12 +571,12 @@ mod tests {
                 .compress_next(
                     s,
                     bound,
-                    |d, b| codec.compress(d, b),
-                    |b| codec.decompress(b),
+                    |d, b| codec.compress(d, b, &mut Scratch::new()),
+                    |b| decompress(&codec, b),
                 )
                 .unwrap();
             let recon = dec
-                .decompress_next(&frame, |b| codec.decompress(b))
+                .decompress_next(&frame, |b| decompress(&codec, b))
                 .unwrap();
             // f32 chains may add a few ULPs of rounding on top of the
             // codec bound (see the crate docs).
@@ -592,8 +594,8 @@ mod tests {
             .compress_next(
                 &d,
                 ErrorBound::Abs(0.0),
-                |d, b| codec.compress(d, b),
-                |b| codec.decompress(b),
+                |d, b| codec.compress(d, b, &mut Scratch::new()),
+                |b| decompress(&codec, b),
             )
             .unwrap_err();
         assert!(matches!(err, CodecError::Corrupt(_)));

@@ -22,7 +22,10 @@ pub mod reorder;
 pub mod transform;
 
 use qoz_codec::stream::{self, Compressor, CompressorId, ErrorBound, Header};
-use qoz_codec::{BitReader, BitWriter, ByteReader, ByteWriter, CodecError, Result};
+use qoz_codec::{
+    lossless_compress_with, lossless_decompress_with, BitReader, BitWriter, ByteReader, ByteWriter,
+    CodecError, Result, Scratch,
+};
 use qoz_tensor::{NdArray, Region, Scalar, Shape, MAX_NDIM};
 
 /// Block side length (fixed at 4, as in ZFP).
@@ -52,15 +55,20 @@ impl Zfp {
             PRECISION_F64
         }
     }
+}
 
-    /// Typed compression entry point.
-    pub fn compress_typed<T: Scalar>(&self, data: &NdArray<T>, bound: ErrorBound) -> Vec<u8> {
+impl<T: Scalar> Compressor<T> for Zfp {
+    fn id(&self) -> CompressorId {
+        CompressorId::Zfp
+    }
+
+    fn compress(&self, data: &NdArray<T>, bound: ErrorBound, scratch: &mut Scratch<T>) -> Vec<u8> {
         let abs_eb = bound.absolute(data);
         let shape = data.shape();
         let nd = shape.ndim();
         let n = BLOCK_SIDE.pow(nd as u32);
         let perm = reorder::degree_permutation(nd);
-        let prec = Self::precision::<T>();
+        let prec = Zfp::precision::<T>();
 
         let blocks = Region::tile(shape, BLOCK_SIDE);
         let mut tags = ByteWriter::new();
@@ -155,14 +163,19 @@ impl Zfp {
                 temporal: None,
             },
         );
-        w.put_len_prefixed(&qoz_codec::lossless_compress(&tags.finish()));
+        lossless_compress_with(&tags.finish(), &mut scratch.entropy, &mut scratch.section);
+        w.put_len_prefixed(&scratch.section);
         w.put_len_prefixed(&raw.finish());
         w.put_len_prefixed(&bits.finish());
         w.finish()
     }
 
-    /// Typed decompression entry point.
-    pub fn decompress_typed<T: Scalar>(&self, blob: &[u8]) -> Result<NdArray<T>> {
+    fn decompress_into(
+        &self,
+        blob: &[u8],
+        scratch: &mut Scratch<T>,
+        out: &mut NdArray<T>,
+    ) -> Result<()> {
         let mut r = ByteReader::new(blob);
         let header = stream::read_header(&mut r)?;
         if header.temporal.is_some() {
@@ -180,9 +193,10 @@ impl Zfp {
         let nd = shape.ndim();
         let n = BLOCK_SIDE.pow(nd as u32);
         let perm = reorder::degree_permutation(nd);
-        let prec = Self::precision::<T>();
+        let prec = Zfp::precision::<T>();
 
-        let tags = qoz_codec::lossless_decompress(r.get_len_prefixed()?)?;
+        let tags = &mut scratch.section;
+        lossless_decompress_with(r.get_len_prefixed()?, &mut scratch.entropy, tags)?;
         let raw = r.get_len_prefixed()?;
         let planes = r.get_len_prefixed()?;
         let mut raw_r = ByteReader::new(raw);
@@ -192,12 +206,14 @@ impl Zfp {
         if tags.len() < blocks.len() {
             return Err(CodecError::UnexpectedEof);
         }
-        let mut out = NdArray::<T>::zeros(shape);
+        if out.reset_zeros(shape) {
+            scratch.grows.bump();
+        }
         let mut ints = vec![0i64; n];
         for (region, &tag) in blocks.iter().zip(tags.iter()) {
             match tag {
                 BLOCK_ZERO => { /* already zeros */ }
-                BLOCK_RAW => read_raw(&mut out, region, &mut raw_r)?,
+                BLOCK_RAW => read_raw(out, region, &mut raw_r)?,
                 BLOCK_CODED => {
                     let e = bits.get_bits(16)? as i32 - 0x8000;
                     let k1 = bits.get_bits(6)? as u32;
@@ -216,12 +232,12 @@ impl Zfp {
                     }
                     transform::inverse(&mut ints, nd);
                     let scale = 2f64.powi(prec - e);
-                    scatter_block(&mut out, region, &ints, scale);
+                    scatter_block(out, region, &ints, scale);
                 }
                 _ => return Err(CodecError::Corrupt("bad block tag")),
             }
         }
-        Ok(out)
+        Ok(())
     }
 }
 
@@ -325,21 +341,10 @@ fn scatter_block<T: Scalar>(out: &mut NdArray<T>, region: &Region, ints: &[i64],
     }
 }
 
-impl<T: Scalar> Compressor<T> for Zfp {
-    fn id(&self) -> CompressorId {
-        CompressorId::Zfp
-    }
-    fn compress(&self, data: &NdArray<T>, bound: ErrorBound) -> Vec<u8> {
-        self.compress_typed(data, bound)
-    }
-    fn decompress(&self, blob: &[u8]) -> Result<NdArray<T>> {
-        self.decompress_typed(blob)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use qoz_codec::decompress;
     use qoz_datagen::{Dataset, SizeClass};
     use qoz_metrics::verify_error_bound;
 
@@ -350,8 +355,8 @@ mod tests {
             for eps in [1e-2, 1e-4] {
                 let bound = ErrorBound::Rel(eps);
                 let abs = bound.absolute(&data);
-                let blob = Zfp.compress_typed(&data, bound);
-                let recon = Zfp.decompress_typed::<f32>(&blob).unwrap();
+                let blob = Zfp.compress(&data, bound, &mut Scratch::new());
+                let recon = decompress::<f32>(&Zfp, &blob).unwrap();
                 assert_eq!(
                     verify_error_bound(&data, &recon, abs),
                     None,
@@ -367,21 +372,21 @@ mod tests {
         let data = NdArray::from_fn(Shape::d3(17, 18, 19), |i| {
             (i[0] as f64 * 0.3).sin() * (i[1] as f64 * 0.2).cos() + i[2] as f64 * 1e-3
         });
-        let blob = Zfp.compress_typed(&data, ErrorBound::Abs(1e-9));
-        let recon = Zfp.decompress_typed::<f64>(&blob).unwrap();
+        let blob = Zfp.compress(&data, ErrorBound::Abs(1e-9), &mut Scratch::new());
+        let recon = decompress::<f64>(&Zfp, &blob).unwrap();
         assert!(data.max_abs_diff(&recon) <= 1e-9);
     }
 
     #[test]
     fn zero_blocks_cost_almost_nothing() {
         let data = NdArray::<f32>::zeros(Shape::d2(64, 64));
-        let blob = Zfp.compress_typed(&data, ErrorBound::Abs(1e-3));
+        let blob = Zfp.compress(&data, ErrorBound::Abs(1e-3), &mut Scratch::new());
         assert!(
             blob.len() < 200,
             "all-zero input should be tiny: {}",
             blob.len()
         );
-        let recon = Zfp.decompress_typed::<f32>(&blob).unwrap();
+        let recon = decompress::<f32>(&Zfp, &blob).unwrap();
         assert!(recon.as_slice().iter().all(|&v| v == 0.0));
     }
 
@@ -390,8 +395,8 @@ mod tests {
         let mut data = NdArray::from_fn(Shape::d2(8, 8), |i| (i[0] + i[1]) as f32);
         data.as_mut_slice()[5] = f32::NAN;
         data.as_mut_slice()[37] = f32::NEG_INFINITY;
-        let blob = Zfp.compress_typed(&data, ErrorBound::Abs(1e-3));
-        let recon = Zfp.decompress_typed::<f32>(&blob).unwrap();
+        let blob = Zfp.compress(&data, ErrorBound::Abs(1e-3), &mut Scratch::new());
+        let recon = decompress::<f32>(&Zfp, &blob).unwrap();
         assert!(recon.as_slice()[5].is_nan());
         assert_eq!(recon.as_slice()[37], f32::NEG_INFINITY);
         for (a, b) in data.as_slice().iter().zip(recon.as_slice()) {
@@ -404,33 +409,37 @@ mod tests {
     #[test]
     fn partial_edge_blocks_roundtrip() {
         let data = NdArray::from_fn(Shape::d2(9, 11), |i| (i[0] * 11 + i[1]) as f32 * 0.37);
-        let blob = Zfp.compress_typed(&data, ErrorBound::Abs(1e-2));
-        let recon = Zfp.decompress_typed::<f32>(&blob).unwrap();
+        let blob = Zfp.compress(&data, ErrorBound::Abs(1e-2), &mut Scratch::new());
+        let recon = decompress::<f32>(&Zfp, &blob).unwrap();
         assert!(data.max_abs_diff(&recon) <= 1e-2);
     }
 
     #[test]
     fn loose_bound_compresses_better_than_tight() {
         let data = Dataset::Miranda.generate(SizeClass::Tiny, 0);
-        let loose = Zfp.compress_typed(&data, ErrorBound::Rel(1e-2)).len();
-        let tight = Zfp.compress_typed(&data, ErrorBound::Rel(1e-5)).len();
+        let loose = Zfp
+            .compress(&data, ErrorBound::Rel(1e-2), &mut Scratch::new())
+            .len();
+        let tight = Zfp
+            .compress(&data, ErrorBound::Rel(1e-5), &mut Scratch::new())
+            .len();
         assert!(loose < tight, "loose {loose} vs tight {tight}");
     }
 
     #[test]
     fn truncated_stream_rejected() {
         let data = NdArray::from_fn(Shape::d1(64), |i| (i[0] as f32).sqrt());
-        let blob = Zfp.compress_typed(&data, ErrorBound::Abs(1e-3));
+        let blob = Zfp.compress(&data, ErrorBound::Abs(1e-3), &mut Scratch::new());
         for cut in [4, blob.len() / 2] {
-            assert!(Zfp.decompress_typed::<f32>(&blob[..cut]).is_err());
+            assert!(decompress::<f32>(&Zfp, &blob[..cut]).is_err());
         }
     }
 
     #[test]
     fn one_dimensional_roundtrip() {
         let data = NdArray::from_fn(Shape::d1(101), |i| ((i[0] as f32) * 0.11).sin());
-        let blob = Zfp.compress_typed(&data, ErrorBound::Abs(1e-4));
-        let recon = Zfp.decompress_typed::<f32>(&blob).unwrap();
+        let blob = Zfp.compress(&data, ErrorBound::Abs(1e-4), &mut Scratch::new());
+        let recon = decompress::<f32>(&Zfp, &blob).unwrap();
         assert!(data.max_abs_diff(&recon) <= 1e-4);
     }
 }

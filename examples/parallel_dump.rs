@@ -7,7 +7,7 @@
 //! ```
 
 use qoz_suite::api::{BackendId, Session};
-use qoz_suite::codec::ErrorBound;
+use qoz_suite::codec::{decompress, ErrorBound, Scratch};
 use qoz_suite::datagen::{Dataset, SizeClass};
 use qoz_suite::pario::{chunk_along_dim0, compress_chunks, decompress_chunks, IoModel};
 use qoz_suite::tensor::NdArray;
@@ -54,10 +54,10 @@ fn main() {
     //    throughput measured on one chunk.
     let one = &chunks[0];
     let t0 = std::time::Instant::now();
-    let blob = qoz.compress(one, bound);
+    let blob = qoz.compress(one, bound, &mut Scratch::new());
     let comp_bps = (one.len() * 4) as f64 / t0.elapsed().as_secs_f64();
     let t0 = std::time::Instant::now();
-    let _: NdArray<f32> = qoz.decompress(&blob).unwrap();
+    let _: NdArray<f32> = decompress(&*qoz, &blob).unwrap();
     let decomp_bps = (one.len() * 4) as f64 / t0.elapsed().as_secs_f64();
 
     println!("projected dump times (1.3 GB/rank, 80 GB/s filesystem):");

@@ -7,7 +7,7 @@
 //! ```
 
 use qoz_suite::api::BackendRegistry;
-use qoz_suite::codec::ErrorBound;
+use qoz_suite::codec::{decompress, ErrorBound, Scratch};
 use qoz_suite::datagen::{Dataset, SizeClass};
 use qoz_suite::metrics::{self, QualityMetric};
 
@@ -27,11 +27,11 @@ fn main() {
     let registry = BackendRegistry::with_metric(QualityMetric::Psnr);
 
     for codec in registry.paper_set::<f32>() {
-        let name = codec.name();
+        let name = codec.id().name();
         for eps in [1e-2, 1e-3, 1e-4] {
             let bound = ErrorBound::Rel(eps);
-            let blob = codec.compress(&data, bound);
-            let recon = codec.decompress(&blob).expect("self-produced blob");
+            let blob = codec.compress(&data, bound, &mut Scratch::new());
+            let recon = decompress(&*codec, &blob).expect("self-produced blob");
             let bitrate = blob.len() as f64 * 8.0 / data.len() as f64;
             println!(
                 "{:<8} {:>9.0e} {:>10.4} {:>9.2} {:>9.1}",

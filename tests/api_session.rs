@@ -1,6 +1,5 @@
 //! Integration tests for the `qoz_api` facade: every backend × every
-//! `Target` variant, plus streaming/buffered equivalence and f64
-//! coverage through the registry.
+//! `Target` variant, plus f64 coverage through the registry.
 //!
 //! Tolerances asserted here are the documented ones (see the `qoz_api`
 //! crate docs): bounds are hard; PSNR/SSIM targets are met or exceeded
@@ -93,34 +92,6 @@ fn every_backend_ratio_target_within_tolerance() {
         let abs = out.rel_bound.unwrap() * data.value_range();
         assert!(data.max_abs_diff(&recon) <= abs * (1.0 + 1e-9), "{id:?}");
     }
-}
-
-#[test]
-fn streaming_and_buffered_paths_are_byte_identical() {
-    let data = field();
-    for id in BackendRegistry::ALL {
-        let session = Session::builder()
-            .backend(id)
-            .bound(ErrorBound::Rel(1e-3))
-            .build()
-            .unwrap();
-        let out = session.compress(&data).unwrap();
-        let mut sink = Vec::new();
-        let stats = session.compress_into(&data, &mut sink).unwrap();
-        assert_eq!(sink, out.blob, "{id:?}: compress_into diverged");
-        assert_eq!(stats, out.stats, "{id:?}: stats diverged");
-
-        let direct: NdArray<f32> = session.decompress(&out.blob).unwrap();
-        let mut cursor = std::io::Cursor::new(&sink);
-        let streamed: NdArray<f32> = session.decompress_from(&mut cursor).unwrap();
-        assert_eq!(direct.as_slice(), streamed.as_slice(), "{id:?}");
-    }
-    // A quality-target session streams the same bytes it would buffer.
-    let session = Session::builder().psnr(50.0).build().unwrap();
-    let out = session.compress(&data).unwrap();
-    let mut sink = Vec::new();
-    session.compress_into(&data, &mut sink).unwrap();
-    assert_eq!(sink, out.blob, "quality-target compress_into diverged");
 }
 
 #[test]

@@ -3,10 +3,10 @@
 //! I/O accounting, and corruption rejection.
 
 use qoz_suite::archive::{ArchiveError, ArchiveReader, ArchiveWriter};
-use qoz_suite::codec::{Compressor, ErrorBound};
+use qoz_suite::codec::{decompress, Compressor, ErrorBound, Scratch};
 use qoz_suite::tensor::{NdArray, Region, Shape};
 
-fn backends() -> Vec<(&'static str, Box<dyn Compressor<f32> + Sync>)> {
+fn backends() -> Vec<(&'static str, Box<dyn Compressor<f32>>)> {
     vec![
         ("SZ2.1", Box::new(qoz_suite::sz2::Sz2::default())),
         ("SZ3", Box::new(qoz_suite::sz3::Sz3::default())),
@@ -204,7 +204,7 @@ fn payload_bitflips_detected_by_verify() {
 fn container_and_stream_formats_do_not_cross() {
     let data = field(Shape::d3(12, 12, 12));
     let c = qoz_suite::sz3::Sz3::default();
-    let stream = c.compress(&data, ErrorBound::Abs(1e-3));
+    let stream = c.compress(&data, ErrorBound::Abs(1e-3), &mut Scratch::new());
     assert_eq!(
         ArchiveReader::from_bytes(&stream).unwrap_err(),
         ArchiveError::BadMagic
@@ -213,7 +213,7 @@ fn container_and_stream_formats_do_not_cross() {
     w.add_variable("v", &data, &c, ErrorBound::Abs(1e-3))
         .unwrap();
     let qza = w.finish();
-    assert!(Compressor::<f32>::decompress(&c, &qza).is_err());
+    assert!(decompress::<f32>(&c, &qza).is_err());
 }
 
 /// File-backed archives behave identically to in-memory ones.

@@ -3,7 +3,7 @@
 //! the first test to look at when a change breaks "everything" — it
 //! names the backend that went wrong without any property-test noise.
 
-use qoz_suite::codec::{Compressor, ErrorBound};
+use qoz_suite::codec::{decompress, Compressor, ErrorBound, Scratch};
 use qoz_suite::tensor::{NdArray, Shape};
 
 fn field() -> NdArray<f32> {
@@ -20,11 +20,10 @@ fn smoke<C: Compressor<f32>>(name: &str, c: C) {
     let bound = ErrorBound::Rel(1e-3);
     let abs = bound.absolute(&data);
 
-    let blob = c.compress(&data, bound);
+    let blob = c.compress(&data, bound, &mut Scratch::new());
     assert!(!blob.is_empty(), "{name}: empty blob");
-    let recon: NdArray<f32> = c
-        .decompress(&blob)
-        .unwrap_or_else(|e| panic!("{name}: decompress failed: {e:?}"));
+    let recon: NdArray<f32> =
+        decompress(&c, &blob).unwrap_or_else(|e| panic!("{name}: decompress failed: {e:?}"));
 
     assert_eq!(recon.shape(), data.shape(), "{name}: shape mismatch");
     let err = data.max_abs_diff(&recon);

@@ -52,50 +52,61 @@ fn scratch_decode_identical_to_allocating_for_every_backend() {
             .bound(ErrorBound::Rel(1e-3))
             .build()
             .unwrap();
-        // f32: allocating vs with-scratch vs into-destination.
+        // f32: allocating vs into-destination, cold then warm arena.
         let blob = session.compress(&data32).unwrap().blob;
         let cold: NdArray<f32> = reg.decompress(&blob).unwrap();
         let mut scratch = Scratch::<f32>::new();
-        let warm = reg.decompress_with_scratch(&blob, &mut scratch).unwrap();
-        assert_eq!(cold.as_slice(), warm.as_slice(), "{backend:?} f32");
         let mut dest = NdArray::<f32>::zeros(Shape::d1(1));
-        reg.decompress_into(&blob, &mut scratch, &mut dest).unwrap();
-        assert_eq!(dest.shape(), cold.shape(), "{backend:?} f32 into-shape");
-        assert_eq!(cold.as_slice(), dest.as_slice(), "{backend:?} f32 into");
+        for pass in ["cold", "warm"] {
+            reg.decompress_into(&blob, &mut scratch, &mut dest).unwrap();
+            assert_eq!(dest.shape(), cold.shape(), "{backend:?} f32 {pass} shape");
+            assert_eq!(cold.as_slice(), dest.as_slice(), "{backend:?} f32 {pass}");
+        }
 
         // f64 through the same machinery.
         let blob = session.compress(&data64).unwrap().blob;
         let cold: NdArray<f64> = reg.decompress(&blob).unwrap();
         let mut scratch = Scratch::<f64>::new();
-        let warm = reg.decompress_with_scratch(&blob, &mut scratch).unwrap();
-        assert_eq!(cold.as_slice(), warm.as_slice(), "{backend:?} f64");
+        let mut dest = NdArray::<f64>::zeros(Shape::d1(1));
+        reg.decompress_into(&blob, &mut scratch, &mut dest).unwrap();
+        assert_eq!(cold.as_slice(), dest.as_slice(), "{backend:?} f64");
     }
 }
 
+/// One arena, every backend, both directions: a big/small/tiny sequence
+/// compressed through a reused arena gives the bytes of a fresh-arena
+/// compress, and the same arena then decodes every stream exactly.
 #[test]
 fn one_arena_survives_shape_and_size_interleavings() {
-    let session = Session::builder()
-        .bound(ErrorBound::Rel(1e-3))
-        .build()
-        .unwrap();
     let reg = BackendRegistry::new();
+    let bound = ErrorBound::Rel(1e-3);
     let big = field_f32();
     let small = big.extract_region(&Region::new(
         &[0, 0, 0],
         &[big.shape().dim(0) / 2, big.shape().dim(1) / 2, 3],
     ));
     let tiny = NdArray::from_fn(Shape::d1(7), |i| i[0] as f32 * 0.5);
-    let blobs: Vec<Vec<u8>> = [&big, &small, &tiny, &big, &tiny, &small]
-        .iter()
-        .map(|d| session.compress(d).unwrap().blob)
-        .collect();
-    let mut scratch = Scratch::<f32>::new();
-    let mut dest = NdArray::<f32>::zeros(Shape::d1(1));
-    for (i, blob) in blobs.iter().enumerate() {
-        let cold: NdArray<f32> = reg.decompress(blob).unwrap();
-        reg.decompress_into(blob, &mut scratch, &mut dest).unwrap();
-        assert_eq!(dest.shape(), cold.shape(), "decode {i}");
-        assert_eq!(dest.as_slice(), cold.as_slice(), "decode {i}");
+    let inputs = [&big, &small, &tiny, &big, &tiny, &small];
+    for backend in ALL_BACKENDS {
+        let codec = reg.codec::<f32>(backend);
+        let mut scratch = Scratch::<f32>::new();
+        let blobs: Vec<Vec<u8>> = inputs
+            .iter()
+            .enumerate()
+            .map(|(i, data)| {
+                let reused = codec.compress(data, bound, &mut scratch);
+                let fresh = codec.compress(data, bound, &mut Scratch::new());
+                assert_eq!(reused, fresh, "{backend:?} compress {i}");
+                reused
+            })
+            .collect();
+        let mut dest = NdArray::<f32>::zeros(Shape::d1(1));
+        for (i, blob) in blobs.iter().enumerate() {
+            let cold: NdArray<f32> = reg.decompress(blob).unwrap();
+            reg.decompress_into(blob, &mut scratch, &mut dest).unwrap();
+            assert_eq!(dest.shape(), cold.shape(), "{backend:?} decode {i}");
+            assert_eq!(dest.as_slice(), cold.as_slice(), "{backend:?} decode {i}");
+        }
     }
 }
 

@@ -2,7 +2,7 @@
 //! compressor, every dataset family, every bound — each reconstructed
 //! point within the absolute bound. (Paper §III, verified in Fig. 7.)
 
-use qoz_suite::codec::{Compressor, ErrorBound};
+use qoz_suite::codec::{decompress, Compressor, ErrorBound, Scratch};
 use qoz_suite::datagen::{Dataset, SizeClass};
 use qoz_suite::metrics::{verify_error_bound, QualityMetric};
 use qoz_suite::tensor::NdArray;
@@ -30,8 +30,8 @@ fn every_compressor_respects_every_bound_on_every_dataset() {
             let bound = ErrorBound::Rel(eps);
             let abs = bound.absolute(&data);
             for (name, c) in all_compressors() {
-                let blob = c.compress(&data, bound);
-                let recon = c.decompress(&blob).unwrap_or_else(|e| {
+                let blob = c.compress(&data, bound, &mut Scratch::new());
+                let recon = decompress(&*c, &blob).unwrap_or_else(|e| {
                     panic!(
                         "{name} failed to decode its own stream on {}: {e}",
                         ds.name()
@@ -69,8 +69,8 @@ fn absolute_bounds_respected_for_f64() {
         ("QoZ", Box::new(qoz_suite::qoz::Qoz::default())),
     ];
     for (name, c) in compressors {
-        let blob = c.compress(&data64, ErrorBound::Abs(abs));
-        let recon = c.decompress(&blob).unwrap();
+        let blob = c.compress(&data64, ErrorBound::Abs(abs), &mut Scratch::new());
+        let recon = decompress(&*c, &blob).unwrap();
         assert!(
             data64.max_abs_diff(&recon) <= abs * (1.0 + 1e-9),
             "{name} violated tight f64 bound"
@@ -90,8 +90,8 @@ fn qoz_all_tuning_modes_same_hard_bound() {
         QualityMetric::AutoCorrelation,
     ] {
         let qoz = qoz_suite::qoz::Qoz::for_metric(metric);
-        let blob = qoz.compress(&data, bound);
-        let recon: NdArray<f32> = qoz.decompress(&blob).unwrap();
+        let blob = qoz.compress(&data, bound, &mut Scratch::new());
+        let recon: NdArray<f32> = decompress(&qoz, &blob).unwrap();
         assert_eq!(
             verify_error_bound(&data, &recon, abs),
             None,
@@ -105,16 +105,16 @@ fn extreme_bounds_still_hold() {
     let data = Dataset::Miranda.generate(SizeClass::Tiny, 1);
     for (name, c) in all_compressors() {
         // Very loose: everything collapses but the bound must hold.
-        let blob = c.compress(&data, ErrorBound::Rel(0.25));
-        let recon = c.decompress(&blob).unwrap();
+        let blob = c.compress(&data, ErrorBound::Rel(0.25), &mut Scratch::new());
+        let recon = decompress(&*c, &blob).unwrap();
         let abs = ErrorBound::Rel(0.25).absolute(&data);
         assert!(
             data.max_abs_diff(&recon) <= abs * (1.0 + 1e-9),
             "{name} loose"
         );
         // Very tight: near-lossless.
-        let blob = c.compress(&data, ErrorBound::Rel(1e-7));
-        let recon = c.decompress(&blob).unwrap();
+        let blob = c.compress(&data, ErrorBound::Rel(1e-7), &mut Scratch::new());
+        let recon = decompress(&*c, &blob).unwrap();
         let abs = ErrorBound::Rel(1e-7).absolute(&data);
         assert!(
             data.max_abs_diff(&recon) <= abs * (1.0 + 1e-9),

@@ -2,7 +2,7 @@
 //! handle `[t, x, y, z]` arrays — the form in which multi-snapshot
 //! archives like Hurricane-Isabel actually ship.
 
-use qoz_suite::codec::{Compressor, ErrorBound};
+use qoz_suite::codec::{decompress, Compressor, ErrorBound, Scratch};
 use qoz_suite::datagen::time_series_like;
 use qoz_suite::metrics::verify_error_bound;
 use qoz_suite::tensor::{NdArray, Shape};
@@ -28,8 +28,8 @@ fn all_compressors_roundtrip_4d_within_bound() {
         let bound = ErrorBound::Rel(eps);
         let abs = bound.absolute(&data);
         for (name, c) in compressors() {
-            let blob = c.compress(&data, bound);
-            let recon = c.decompress(&blob).unwrap();
+            let blob = c.compress(&data, bound, &mut Scratch::new());
+            let recon = decompress(&*c, &blob).unwrap();
             assert_eq!(recon.shape(), data.shape(), "{name}");
             assert_eq!(
                 verify_error_bound(&data, &recon, abs),
@@ -48,7 +48,7 @@ fn temporal_correlation_helps_interpolation_compressors() {
     let data = data();
     let bound = ErrorBound::Abs(1e-3 * data.value_range());
     let qoz = qoz_suite::qoz::Qoz::default();
-    let joint = qoz.compress(&data, bound).len();
+    let joint = qoz.compress(&data, bound, &mut Scratch::new()).len();
 
     let step = 12 * 12 * 12;
     let mut per_step_total = 0usize;
@@ -57,7 +57,7 @@ fn temporal_correlation_helps_interpolation_compressors() {
             Shape::d3(12, 12, 12),
             data.as_slice()[t * step..(t + 1) * step].to_vec(),
         );
-        per_step_total += qoz.compress(&slice, bound).len();
+        per_step_total += qoz.compress(&slice, bound, &mut Scratch::new()).len();
     }
     assert!(
         (joint as f64) < per_step_total as f64 * 1.2,
@@ -69,10 +69,10 @@ fn temporal_correlation_helps_interpolation_compressors() {
 fn four_d_streams_decode_to_identical_recon() {
     let data = data();
     let qoz = qoz_suite::qoz::Qoz::default();
-    let b1 = qoz.compress(&data, ErrorBound::Rel(1e-3));
-    let b2 = qoz.compress(&data, ErrorBound::Rel(1e-3));
+    let b1 = qoz.compress(&data, ErrorBound::Rel(1e-3), &mut Scratch::new());
+    let b2 = qoz.compress(&data, ErrorBound::Rel(1e-3), &mut Scratch::new());
     assert_eq!(b1, b2, "compression must be deterministic");
-    let r1: NdArray<f32> = qoz.decompress(&b1).unwrap();
-    let r2: NdArray<f32> = qoz.decompress(&b2).unwrap();
+    let r1: NdArray<f32> = decompress(&qoz, &b1).unwrap();
+    let r2: NdArray<f32> = decompress(&qoz, &b2).unwrap();
     assert_eq!(r1.as_slice(), r2.as_slice());
 }

@@ -12,7 +12,7 @@
 //! The recorded constants were captured from the pre-refactor
 //! (odometer-traversal, bit-at-a-time Huffman) implementation.
 
-use qoz_suite::codec::{Compressor, ErrorBound};
+use qoz_suite::codec::{decompress, Compressor, ErrorBound, Scratch};
 use qoz_suite::datagen::{Dataset, SizeClass};
 
 /// FNV-1a, 64-bit. Dependency-free and stable across platforms.
@@ -27,10 +27,10 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 
 fn golden_case<C: Compressor<f32>>(c: &C, ds: Dataset, eps: f64) -> (usize, u64) {
     let data = ds.generate(SizeClass::Tiny, 0);
-    let blob = c.compress(&data, ErrorBound::Rel(eps));
+    let blob = c.compress(&data, ErrorBound::Rel(eps), &mut Scratch::new());
     // The stream must still round-trip within bound — a hash match on a
     // broken stream would be meaningless.
-    let recon = c.decompress(&blob).expect("golden blob must decode");
+    let recon = decompress(c, &blob).expect("golden blob must decode");
     let abs = ErrorBound::Rel(eps).absolute(&data);
     assert!(data.max_abs_diff(&recon) <= abs * (1.0 + 1e-9));
     (blob.len(), fnv1a(&blob))
@@ -85,8 +85,8 @@ fn wide_field(ds: Dataset) -> qoz_suite::tensor::NdArray<f64> {
 
 fn golden_case_f64<C: Compressor<f64>>(c: &C, ds: Dataset, eps: f64) -> (usize, u64) {
     let data = wide_field(ds);
-    let blob = c.compress(&data, ErrorBound::Rel(eps));
-    let recon = c.decompress(&blob).expect("golden blob must decode");
+    let blob = c.compress(&data, ErrorBound::Rel(eps), &mut Scratch::new());
+    let recon = decompress(c, &blob).expect("golden blob must decode");
     let abs = ErrorBound::Rel(eps).absolute(&data);
     assert!(data.max_abs_diff(&recon) <= abs * (1.0 + 1e-9));
     (blob.len(), fnv1a(&blob))

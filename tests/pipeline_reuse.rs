@@ -71,7 +71,7 @@ fn evolving_series_stays_bounded_and_mostly_warm() {
         let out = pipe.compress(snap).unwrap();
         // The hard bound is resolved against THIS snapshot, warm or not.
         let abs = bound.absolute(snap);
-        let recon: NdArray<f32> = pipe.decompress(&out.blob).unwrap();
+        let recon: NdArray<f32> = session.decompress(&out.blob).unwrap();
         assert!(
             snap.max_abs_diff(&recon) <= abs * (1.0 + 1e-9),
             "snapshot {t} violated its bound (outcome {:?})",

@@ -3,7 +3,10 @@
 //! lossless substrate must be exact.
 
 use proptest::prelude::*;
-use qoz_suite::codec::{Compressor, ErrorBound};
+use qoz_suite::codec::{
+    decode_bins_with, decompress, encode_bins_with, lossless_compress_with,
+    lossless_decompress_with, Compressor, EntropyScratch, ErrorBound, Scratch,
+};
 use qoz_suite::tensor::{NdArray, Shape};
 
 /// Strategy: a small array of 1-3 dimensions with finite values drawn
@@ -46,8 +49,8 @@ macro_rules! roundtrip_property {
                 let c = $compressor;
                 let bound = ErrorBound::Rel(eps);
                 let abs = bound.absolute(&data);
-                let blob = c.compress(&data, bound);
-                let recon: NdArray<f32> = c.decompress(&blob).unwrap();
+                let blob = c.compress(&data, bound, &mut Scratch::new());
+                let recon: NdArray<f32> = decompress(&c, &blob).unwrap();
                 prop_assert_eq!(recon.shape(), data.shape());
                 prop_assert!(
                     data.max_abs_diff(&recon) <= abs * (1.0 + 1e-9),
@@ -72,14 +75,20 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64).with_rng_seed(0x51_C0DE))]
     #[test]
     fn lossless_backend_is_exact(data in proptest::collection::vec(any::<u8>(), 0..4096)) {
-        let packed = qoz_suite::codec::lossless_compress(&data);
-        prop_assert_eq!(qoz_suite::codec::lossless_decompress(&packed).unwrap(), data);
+        let mut scratch = EntropyScratch::new();
+        let (mut packed, mut back) = (Vec::new(), Vec::new());
+        lossless_compress_with(&data, &mut scratch, &mut packed);
+        lossless_decompress_with(&packed, &mut scratch, &mut back).unwrap();
+        prop_assert_eq!(back, data);
     }
 
     #[test]
     fn bins_backend_is_exact(bins in proptest::collection::vec(0u32..70_000, 0..4096)) {
-        let blob = qoz_suite::codec::encode_bins(&bins);
-        prop_assert_eq!(qoz_suite::codec::decode_bins(&blob).unwrap(), bins);
+        let mut scratch = EntropyScratch::new();
+        let (mut blob, mut back) = (Vec::new(), Vec::new());
+        encode_bins_with(&bins, &mut scratch, &mut blob);
+        decode_bins_with(&blob, &mut scratch, &mut back).unwrap();
+        prop_assert_eq!(back, bins);
     }
 
     #[test]

@@ -3,15 +3,15 @@
 //! (or at minimum never make it substantially worse), mirroring the
 //! paper's Figs. 8-10 observations.
 
-use qoz_suite::codec::{Compressor, ErrorBound};
+use qoz_suite::codec::{decompress, Compressor, ErrorBound, Scratch};
 use qoz_suite::datagen::{Dataset, SizeClass};
 use qoz_suite::metrics::{self, QualityMetric};
 use qoz_suite::qoz::{level_error_bounds, Qoz, QozConfig};
 use qoz_suite::tensor::NdArray;
 
 fn run(qoz: &Qoz, data: &NdArray<f32>, bound: ErrorBound) -> (f64, NdArray<f32>) {
-    let blob = qoz.compress(data, bound);
-    let recon = qoz.decompress(&blob).unwrap();
+    let blob = qoz.compress(data, bound, &mut Scratch::new());
+    let recon = decompress(qoz, &blob).unwrap();
     let bitrate = blob.len() as f64 * 8.0 / data.len() as f64;
     (bitrate, recon)
 }

@@ -1,5 +1,5 @@
 //! Quick sanity integration test: QoZ vs SZ3 compression ratios.
-use qoz_codec::{Compressor, ErrorBound};
+use qoz_codec::{Compressor, ErrorBound, Scratch};
 use qoz_datagen::{Dataset, SizeClass};
 
 #[test]
@@ -10,10 +10,10 @@ fn print_cr_comparison() {
         for eps in [1e-2, 1e-3] {
             let bound = ErrorBound::Rel(eps);
             let t0 = std::time::Instant::now();
-            let sz3 = qoz_sz3::Sz3::default().compress(&data, bound);
+            let sz3 = qoz_sz3::Sz3::default().compress(&data, bound, &mut Scratch::new());
             let t_sz3 = t0.elapsed();
             let t0 = std::time::Instant::now();
-            let qoz = Compressor::<f32>::compress(&qoz_core::Qoz::default(), &data, bound);
+            let qoz = qoz_core::Qoz::default().compress(&data, bound, &mut Scratch::new());
             let t_qoz = t0.elapsed();
             let raw = (data.len() * 4) as f64;
             println!(

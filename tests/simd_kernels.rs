@@ -15,7 +15,7 @@
 use proptest::prelude::*;
 use qoz_suite::codec::simd::{quantize_block, KernelPath, QuantSpec, BLOCK};
 use qoz_suite::codec::stream::{CompressorId, Header};
-use qoz_suite::codec::{Compressor, ErrorBound, LinearQuantizer, Scratch};
+use qoz_suite::codec::{decompress, Compressor, ErrorBound, LinearQuantizer, Scratch};
 use qoz_suite::datagen::{Dataset, SizeClass};
 use qoz_suite::qoz::Qoz;
 use qoz_suite::sz3::engine;
@@ -207,7 +207,7 @@ fn engine_streams_identical_on_every_path() {
         for path in PATHS {
             let (blob, recon) = qoz_stream(path, &data, 1e-3);
             assert_eq!(blob, want, "{ds:?}: compress bytes diverged on {path}");
-            let decoded: NdArray<f32> = Qoz::default().decompress(&blob).unwrap();
+            let decoded: NdArray<f32> = decompress(&Qoz::default(), &blob).unwrap();
             assert!(
                 same_bits(decoded.as_slice(), &recon),
                 "{ds:?}: decode diverged from the {path} compress-side reconstruction"
@@ -225,7 +225,7 @@ fn engine_streams_identical_on_every_path_f64() {
     for path in PATHS {
         let (blob, recon) = qoz_stream(path, &data, 1e-3);
         assert_eq!(blob, want, "f64 compress bytes diverged on {path}");
-        let decoded: NdArray<f64> = Qoz::default().decompress(&blob).unwrap();
+        let decoded: NdArray<f64> = decompress(&Qoz::default(), &blob).unwrap();
         assert!(
             same_bits(decoded.as_slice(), &recon),
             "f64 decode diverged from the {path} compress-side reconstruction"
@@ -249,7 +249,8 @@ fn golden_pins_hold_on_every_path() {
     ];
     for (ds, eps, len, hash) in expect {
         let data = ds.generate(SizeClass::Tiny, 0);
-        let default: Vec<u8> = Qoz::default().compress(&data, ErrorBound::Rel(eps));
+        let default: Vec<u8> =
+            Qoz::default().compress(&data, ErrorBound::Rel(eps), &mut Scratch::new());
         let mut blobs = vec![("default".to_string(), default)];
         for path in PATHS {
             blobs.push((path.to_string(), qoz_stream(path, &data, eps).0));
@@ -273,7 +274,8 @@ fn golden_f64_pins_hold_on_every_path() {
     ];
     for (ds, eps, len, hash) in expect {
         let data = wide_field(ds);
-        let default: Vec<u8> = Qoz::default().compress(&data, ErrorBound::Rel(eps));
+        let default: Vec<u8> =
+            Qoz::default().compress(&data, ErrorBound::Rel(eps), &mut Scratch::new());
         let mut blobs = vec![("default".to_string(), default)];
         for path in PATHS {
             blobs.push((path.to_string(), qoz_stream(path, &data, eps).0));

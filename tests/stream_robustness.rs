@@ -2,7 +2,7 @@
 //! blobs must produce errors, never panics or silent garbage.
 
 use qoz_suite::archive::{ArchiveReader, ArchiveWriter};
-use qoz_suite::codec::{Compressor, ErrorBound};
+use qoz_suite::codec::{decompress, Compressor, ErrorBound, Scratch};
 use qoz_suite::datagen::{Dataset, SizeClass};
 use qoz_suite::tensor::NdArray;
 
@@ -18,7 +18,7 @@ fn compressors() -> Vec<(&'static str, Box<dyn Compressor<f32>>)> {
 
 fn sample_blob(c: &dyn Compressor<f32>) -> Vec<u8> {
     let data = Dataset::CesmAtm.generate(SizeClass::Tiny, 0);
-    c.compress(&data, ErrorBound::Rel(1e-3))
+    c.compress(&data, ErrorBound::Rel(1e-3), &mut Scratch::new())
 }
 
 #[test]
@@ -26,7 +26,7 @@ fn truncation_at_every_eighth_byte_errors() {
     for (name, c) in compressors() {
         let blob = sample_blob(c.as_ref());
         for cut in (0..blob.len()).step_by(8) {
-            let r = c.decompress(&blob[..cut]);
+            let r = decompress(&*c, &blob[..cut]);
             assert!(r.is_err(), "{name}: truncation at {cut} accepted");
         }
     }
@@ -42,7 +42,7 @@ fn cross_codec_streams_rejected() {
                 continue;
             }
             assert!(
-                c.decompress(blob).is_err(),
+                decompress(c.as_ref(), blob).is_err(),
                 "{name_i} accepted a stream from {}",
                 comps[j].0
             );
@@ -61,7 +61,7 @@ fn single_byte_corruptions_never_panic() {
             let mut bad = blob.clone();
             bad[pos] ^= 0xA5;
             let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                let _ = c.decompress(&bad);
+                let _ = decompress(&*c, &bad);
             }));
             assert!(result.is_ok(), "{name}: panic on corruption at byte {pos}");
         }
@@ -71,13 +71,13 @@ fn single_byte_corruptions_never_panic() {
 #[test]
 fn garbage_input_rejected() {
     for (name, c) in compressors() {
-        assert!(c.decompress(&[]).is_err(), "{name} accepted empty");
+        assert!(decompress(&*c, &[]).is_err(), "{name} accepted empty");
         assert!(
-            c.decompress(b"not a stream").is_err(),
+            decompress(&*c, b"not a stream").is_err(),
             "{name} accepted garbage"
         );
         let zeros = vec![0u8; 1024];
-        assert!(c.decompress(&zeros).is_err(), "{name} accepted zeros");
+        assert!(decompress(&*c, &zeros).is_err(), "{name} accepted zeros");
     }
 }
 
@@ -306,6 +306,6 @@ fn header_shape_mismatch_on_giant_dims_rejected() {
     w.put_f64(1e-3);
     let blob = w.finish();
     let c = qoz_suite::sz3::Sz3::default();
-    let r: Result<NdArray<f32>, _> = c.decompress(&blob);
+    let r: Result<NdArray<f32>, _> = decompress(&c, &blob);
     assert!(r.is_err());
 }
