@@ -151,9 +151,9 @@ fn split_histogram_applies(len: usize, max: usize) -> bool {
 /// forwarding latency of a single counter. With `split` the input is
 /// counted into `HIST_SPLIT` interleaved tables and merged at the end;
 /// pure integer arithmetic, so the merged counts are exactly the naive
-/// ones. The encoder picks the variant itself; the parameter is public
-/// so the bench harness can time the two head-to-head.
-pub fn dense_counts(symbols: &[u32], max: usize, counts: &mut Vec<u64>, split: bool) {
+/// ones. The encoder picks the variant itself; the unit tests check
+/// both against a hand count.
+fn dense_counts(symbols: &[u32], max: usize, counts: &mut Vec<u64>, split: bool) {
     counts.clear();
     if split {
         counts.resize(HIST_SPLIT * (max + 1), 0);

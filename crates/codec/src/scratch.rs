@@ -89,6 +89,8 @@ pub struct Scratch<T: Scalar> {
     pub work: Vec<T>,
     /// Quantization codes in traversal order.
     pub bins: Vec<u32>,
+    /// Per-block predictor selector codes (SZ2's block-wise model choice).
+    pub selectors: Vec<u32>,
     /// Exact-value byte store for unpredictable points.
     pub unpred: Vec<u8>,
     /// Exact-value byte store for anchor points.
@@ -113,6 +115,7 @@ impl<T: Scalar> Scratch<T> {
     pub fn clear(&mut self) {
         self.work.clear();
         self.bins.clear();
+        self.selectors.clear();
         self.unpred.clear();
         self.anchors.clear();
         self.section.clear();
@@ -137,16 +140,17 @@ impl<T: Scalar> Scratch<T> {
     }
 
     /// Current capacities of every arena-owned stage buffer, in a fixed
-    /// order (work, bins, unpred, anchors, section, entropy huff/bits/
-    /// packed). The compress path has no internal grow counters — its
-    /// buffers grow through ordinary `Vec` reallocation — so callers
-    /// that want compress-side growth accounting compare this profile
-    /// before and after a call: any entry that increased is one growth
-    /// event.
-    pub fn capacities(&self) -> [usize; 8] {
+    /// order (work, bins, selectors, unpred, anchors, section, entropy
+    /// huff/bits/packed). The compress path has no internal grow
+    /// counters — its buffers grow through ordinary `Vec` reallocation —
+    /// so callers that want compress-side growth accounting compare this
+    /// profile before and after a call: any entry that increased is one
+    /// growth event.
+    pub fn capacities(&self) -> [usize; 9] {
         [
             self.work.capacity(),
             self.bins.capacity(),
+            self.selectors.capacity(),
             self.unpred.capacity(),
             self.anchors.capacity(),
             self.section.capacity(),

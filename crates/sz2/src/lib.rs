@@ -97,7 +97,8 @@ impl<T: Scalar> Compressor<T> for Sz2 {
         let bins = &mut scratch.bins;
         bins.reserve(data.len());
         let mut unpred = ByteWriter::from_vec(std::mem::take(&mut scratch.unpred));
-        let mut selector_codes: Vec<u32> = Vec::with_capacity(blocks.len());
+        let selector_codes = &mut scratch.selectors;
+        selector_codes.reserve(blocks.len());
         let mut coef_codes: Vec<i64> = Vec::new();
 
         for region in &blocks {
@@ -155,7 +156,7 @@ impl<T: Scalar> Compressor<T> for Sz2 {
         );
         w.put_varint(side as u64);
         let (es, section) = (&mut scratch.entropy, &mut scratch.section);
-        encode_bins_with(&selector_codes, es, section);
+        encode_bins_with(&scratch.selectors, es, section);
         w.put_len_prefixed(section);
         let mut coefs = ByteWriter::new();
         for &c in &coef_codes {
@@ -195,8 +196,8 @@ impl<T: Scalar> Compressor<T> for Sz2 {
             return Err(CodecError::Corrupt("bad block side"));
         }
         let es = &mut scratch.entropy;
-        let mut selector_codes = Vec::new();
-        decode_bins_with(r.get_len_prefixed()?, es, &mut selector_codes)?;
+        let selector_codes = &mut scratch.selectors;
+        decode_bins_with(r.get_len_prefixed()?, es, selector_codes)?;
         let coef_bytes = &mut scratch.section;
         lossless_decompress_with(r.get_len_prefixed()?, es, coef_bytes)?;
         let bins = &mut scratch.bins;
@@ -223,14 +224,14 @@ impl<T: Scalar> Compressor<T> for Sz2 {
         }
         let work = out.as_mut_slice();
         let mut bin_pos = 0usize;
-        for (region, &sel) in blocks.iter().zip(&selector_codes) {
+        for (region, &sel) in blocks.iter().zip(selector_codes.iter()) {
             let choice = BlockPredictor::from_code(sel)?;
             let model = if choice == BlockPredictor::Regression {
-                let mut codes = Vec::with_capacity(n_coefs);
-                for _ in 0..n_coefs {
-                    codes.push(unzigzag(coef_reader.get_varint()?));
+                let mut codes = [0i64; qoz_tensor::MAX_NDIM + 1];
+                for c in &mut codes[..n_coefs] {
+                    *c = unzigzag(coef_reader.get_varint()?);
                 }
-                Some(RegressionModel::from_codes(&codes, step))
+                Some(RegressionModel::from_codes(&codes[..n_coefs], step))
             } else {
                 None
             };

@@ -61,8 +61,8 @@ pub struct CompressOutput<T: Scalar> {
 }
 
 impl<T: Scalar> CompressOutput<T> {
-    /// Mean absolute prediction error (the selection criterion of
-    /// Algorithm 1).
+    /// Mean absolute prediction error (the quantity Algorithm 1
+    /// selects on).
     pub fn mean_abs_pred_err(&self) -> f64 {
         if self.pred_count == 0 {
             0.0
@@ -91,8 +91,8 @@ pub struct EngineStats {
 }
 
 impl EngineStats {
-    /// Mean absolute prediction error (the selection criterion of
-    /// Algorithm 1).
+    /// Mean absolute prediction error (the quantity Algorithm 1
+    /// selects on).
     pub fn mean_abs_pred_err(&self) -> f64 {
         if self.pred_count == 0 {
             0.0

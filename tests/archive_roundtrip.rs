@@ -96,7 +96,7 @@ fn multi_variable_mixed_types() {
     ));
 }
 
-/// The acceptance criterion of the archive subsystem: a ~1% region of a
+/// The acceptance test of the archive subsystem: a ~1% region of a
 /// 256^3 field must be served by decompressing only the intersecting
 /// chunks — under 5% of the archive's bytes are read (TOC included).
 #[test]

@@ -134,14 +134,15 @@ fn corrupt_stream_does_not_poison_the_arena() {
     assert_eq!(dest.as_slice(), cold.as_slice());
 }
 
-/// The acceptance criterion of the read-path refactor: with the arena
+/// The acceptance test of the read-path refactor: with the arena
 /// and the destination already grown, a repeated same-shape
 /// `Pipeline::decompress_into` performs **zero** stage-buffer
-/// allocations, observed through the arena's growth counters.
+/// allocations on every backend, observed through the arena's growth
+/// counters.
 #[test]
 fn warm_pipeline_decode_allocates_nothing() {
     let data = field_f32();
-    for backend in [BackendId::Qoz, BackendId::Sz3] {
+    for backend in ALL_BACKENDS {
         let session = Session::builder()
             .backend(backend)
             .bound(ErrorBound::Rel(1e-3))
