@@ -502,6 +502,14 @@ impl HuffmanDecoder {
             }
             scratch.entries.push((sym, len));
         }
+        let n_symbols = reader.get_varint()?;
+        let payload = reader.get_len_prefixed()?;
+        // Every code is at least one bit long: bound the claimed count by
+        // the payload before reserving for it.
+        if n_symbols > payload.len() as u64 * 8 {
+            return Err(CodecError::Corrupt("implausible Huffman symbol count"));
+        }
+        let n_symbols = n_symbols as usize;
         scratch.grows.check(scratch.coded.capacity(), n_entries);
         scratch.grows.check(scratch.symbols.capacity(), n_entries);
         scratch
@@ -516,13 +524,10 @@ impl HuffmanDecoder {
         );
         scratch.coded = coded;
         let decoder = decoder?;
-        let n_symbols = reader.get_varint()? as usize;
-        let payload = reader.get_len_prefixed()?;
         let mut bits = BitReader::new(payload);
-        let cap = n_symbols.min(1 << 28);
-        scratch.grows.check(out.capacity(), cap);
+        scratch.grows.check(out.capacity(), n_symbols);
         out.clear();
-        out.reserve(cap);
+        out.reserve(n_symbols);
         let mut res = Ok(());
         for _ in 0..n_symbols {
             match decoder.decode_one(&mut bits) {
@@ -835,5 +840,26 @@ mod tests {
         let buf = w.finish();
         let mut r = ByteReader::new(&buf);
         assert!(decode(&mut r).is_err());
+    }
+
+    #[test]
+    fn symbol_count_beyond_payload_rejected() {
+        // A valid one-entry table claiming 2^28 symbols from 1 payload
+        // byte: rejected before any reservation for the symbols.
+        let mut w = ByteWriter::new();
+        w.put_varint(1);
+        w.put_varint(7);
+        w.put_u8(1);
+        w.put_varint(1 << 28);
+        w.put_len_prefixed(&[0]);
+        let buf = w.finish();
+        let mut out = Vec::new();
+        let res = HuffmanDecoder::decode_with(
+            &mut ByteReader::new(&buf),
+            &mut HuffmanScratch::new(),
+            &mut out,
+        );
+        assert!(res.is_err());
+        assert_eq!(out.capacity(), 0, "reserved for the claimed count");
     }
 }

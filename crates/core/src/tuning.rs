@@ -3,9 +3,9 @@
 //!
 //! All tuning runs on the uniformly sampled blocks only, so its cost is a
 //! small fraction of the full compression pass. Trial compressions reuse
-//! the shared engine; bit-rates are estimated with the entropy model
-//! (`estimated_bits`) because only *relative* comparisons between
-//! candidates matter.
+//! the shared engine, and each trial's bit-rate is the size of its
+//! sampled bins actually entropy-coded by `encode_bins_with` (through one
+//! reused arena) plus its raw side streams.
 
 use crate::config::level_error_bounds;
 use qoz_codec::{EntropyScratch, LinearQuantizer};
@@ -159,47 +159,90 @@ pub fn aggregate_metric<T: Scalar>(
     }
 }
 
-/// Run one `(alpha, beta)` trial over the sampled blocks at error bound
-/// `abs_eb * eb_scale`.
-fn run_trial<T: Scalar>(
-    blocks: &[NdArray<T>],
+/// The fixed inputs of the `(alpha, beta)` trials, plus the entropy arena
+/// and output buffer every trial encode reuses (a reused arena produces
+/// the same bytes as a fresh one).
+struct Trials<'a, T: Scalar> {
+    blocks: &'a [NdArray<T>],
     abs_eb: f64,
-    eb_scale: f64,
-    alpha: f64,
-    beta: f64,
-    level_configs: &[LevelConfig],
+    level_configs: &'a [LevelConfig],
     block_levels: u32,
     metric: QualityMetric,
     global_range: f64,
-) -> TrialResult {
-    let e = abs_eb * eb_scale;
-    let ebs = level_error_bounds(e, alpha, beta, block_levels);
-    let mut all_bins: Vec<u32> = Vec::new();
-    let mut side_bytes = 0usize;
-    let mut points = 0usize;
-    let mut recons = Vec::with_capacity(blocks.len());
-    for block in blocks {
-        let spec = InterpSpec {
-            anchor_stride: Some(1u32 << block_levels),
-            max_level: block_levels,
-            level_configs: level_configs[..block_levels as usize].to_vec(),
-            level_ebs: ebs.clone(),
-            quant_radius: LinearQuantizer::DEFAULT_RADIUS,
-        };
-        let out = compress_with_spec(block, &spec);
-        all_bins.extend_from_slice(&out.bins);
-        side_bytes += out.unpred.len() + out.anchors.len();
-        points += block.len();
-        recons.push(out.recon);
+    entropy: EntropyScratch,
+    packed: Vec<u8>,
+}
+
+impl<'a, T: Scalar> Trials<'a, T> {
+    fn new(
+        blocks: &'a [NdArray<T>],
+        abs_eb: f64,
+        level_configs: &'a [LevelConfig],
+        block_levels: u32,
+        metric: QualityMetric,
+        global_range: f64,
+    ) -> Self {
+        Trials {
+            blocks,
+            abs_eb,
+            level_configs,
+            block_levels,
+            metric,
+            global_range,
+            entropy: EntropyScratch::new(),
+            packed: Vec::new(),
+        }
     }
-    // Paper §VI-A: prediction runs per block, but the entropy stage is
-    // applied to the *aggregated* bins for an accurate bit-rate estimate.
-    let mut packed = Vec::new();
-    qoz_codec::encode_bins_with(&all_bins, &mut EntropyScratch::new(), &mut packed);
-    let bins_bits = packed.len() as f64 * 8.0;
-    TrialResult {
-        bits_per_point: (bins_bits + side_bytes as f64 * 8.0) / points.max(1) as f64,
-        metric: aggregate_metric(metric, blocks, &recons, global_range),
+
+    /// Run one `(alpha, beta)` trial over the sampled blocks at error
+    /// bound `abs_eb * eb_scale`.
+    fn run(&mut self, alpha: f64, beta: f64, eb_scale: f64) -> TrialResult {
+        let e = self.abs_eb * eb_scale;
+        let ebs = level_error_bounds(e, alpha, beta, self.block_levels);
+        let mut all_bins: Vec<u32> = Vec::new();
+        let mut side_bytes = 0usize;
+        let mut points = 0usize;
+        let mut recons = Vec::with_capacity(self.blocks.len());
+        for block in self.blocks {
+            let spec = InterpSpec {
+                anchor_stride: Some(1u32 << self.block_levels),
+                max_level: self.block_levels,
+                level_configs: self.level_configs[..self.block_levels as usize].to_vec(),
+                level_ebs: ebs.clone(),
+                quant_radius: LinearQuantizer::DEFAULT_RADIUS,
+            };
+            let out = compress_with_spec(block, &spec);
+            all_bins.extend_from_slice(&out.bins);
+            side_bytes += out.unpred.len() + out.anchors.len();
+            points += block.len();
+            recons.push(out.recon);
+        }
+        // Paper §VI-A: prediction runs per block, but the entropy stage is
+        // applied to the *aggregated* bins for an accurate bit-rate estimate.
+        qoz_codec::encode_bins_with(&all_bins, &mut self.entropy, &mut self.packed);
+        let bins_bits = self.packed.len() as f64 * 8.0;
+        TrialResult {
+            bits_per_point: (bins_bits + side_bytes as f64 * 8.0) / points.max(1) as f64,
+            metric: aggregate_metric(self.metric, self.blocks, &recons, self.global_range),
+        }
+    }
+
+    /// The Table-I traversal of [`autotune_params`].
+    fn pick(&mut self, candidates: &[(f64, f64)]) -> (f64, f64) {
+        assert!(!candidates.is_empty());
+        if self.blocks.is_empty() {
+            return candidates[0];
+        }
+        let mut best = candidates[0];
+        let mut best_res = self.run(best.0, best.1, 1.0);
+        for &(a, b) in &candidates[1..] {
+            let res = self.run(a, b, 1.0);
+            if solution_ii_better(self.metric, best_res, res, |scale| self.run(a, b, scale)) {
+                best = (a, b);
+                best_res = res;
+            }
+        }
+        best
     }
 }
 
@@ -255,33 +298,15 @@ pub fn autotune_params<T: Scalar>(
     global_range: f64,
     candidates: &[(f64, f64)],
 ) -> (f64, f64) {
-    assert!(!candidates.is_empty());
-    if blocks.is_empty() {
-        return candidates[0];
-    }
-    let trial = |alpha: f64, beta: f64, scale: f64| {
-        run_trial(
-            blocks,
-            abs_eb,
-            scale,
-            alpha,
-            beta,
-            level_configs,
-            block_levels,
-            metric,
-            global_range,
-        )
-    };
-    let mut best = candidates[0];
-    let mut best_res = trial(best.0, best.1, 1.0);
-    for &(a, b) in &candidates[1..] {
-        let res = trial(a, b, 1.0);
-        if solution_ii_better(metric, best_res, res, |scale| trial(a, b, scale)) {
-            best = (a, b);
-            best_res = res;
-        }
-    }
-    best
+    Trials::new(
+        blocks,
+        abs_eb,
+        level_configs,
+        block_levels,
+        metric,
+        global_range,
+    )
+    .pick(candidates)
 }
 
 /// Debug/benchmark helper: evaluate every candidate and return the full
@@ -296,35 +321,19 @@ pub fn autotune_with_table<T: Scalar>(
     global_range: f64,
     candidates: &[(f64, f64)],
 ) -> ((f64, f64), TrialTable) {
-    let table: TrialTable = candidates
-        .iter()
-        .map(|&(a, b)| {
-            (
-                (a, b),
-                run_trial(
-                    blocks,
-                    abs_eb,
-                    1.0,
-                    a,
-                    b,
-                    level_configs,
-                    block_levels,
-                    metric,
-                    global_range,
-                ),
-            )
-        })
-        .collect();
-    let winner = autotune_params(
+    let mut trials = Trials::new(
         blocks,
         abs_eb,
         level_configs,
         block_levels,
         metric,
         global_range,
-        candidates,
     );
-    (winner, table)
+    let table: TrialTable = candidates
+        .iter()
+        .map(|&(a, b)| ((a, b), trials.run(a, b, 1.0)))
+        .collect();
+    (trials.pick(candidates), table)
 }
 
 /// Make blocks "anchored" for tuning: the engine treats their base grid

@@ -309,3 +309,35 @@ fn header_shape_mismatch_on_giant_dims_rejected() {
     let r: Result<NdArray<f32>, _> = decompress(&c, &blob);
     assert!(r.is_err());
 }
+
+#[test]
+fn oversized_lzss_length_in_bin_section_rejected() {
+    // Replace the LZSS frame of a real QoZ stream's bin section with 10
+    // bytes claiming 2^34 - 1 output bytes: a typed error, not an abort
+    // on a failed allocation.
+    use qoz_suite::codec::{stream, ByteReader, ByteWriter};
+    let qoz = qoz_suite::qoz::Qoz::default();
+    let blob = sample_blob(&qoz);
+    let mut r = ByteReader::new(&blob);
+    let header = stream::read_header(&mut r).unwrap();
+    qoz_suite::sz3::InterpSpec::read(&mut r, header.shape).unwrap();
+    let bins_at = blob.len() - r.remaining();
+    r.get_len_prefixed().unwrap();
+    let rest_at = blob.len() - r.remaining();
+
+    let mut frame = ByteWriter::new();
+    frame.put_varint((1 << 34) - 1);
+    frame.put_len_prefixed(&[0x00]);
+    frame.put_len_prefixed(b"a");
+    frame.put_varint(0);
+    let mut section = ByteWriter::new();
+    section.put_u8(1); // populated bin stream
+    section.put_len_prefixed(&frame.finish());
+    let mut w = ByteWriter::new();
+    w.put_bytes(&blob[..bins_at]);
+    w.put_len_prefixed(&section.finish());
+    w.put_bytes(&blob[rest_at..]);
+    let bad = w.finish();
+    let r: Result<NdArray<f32>, _> = decompress(&qoz, &bad);
+    assert!(r.is_err());
+}
