@@ -477,6 +477,67 @@ mod tests {
         assert_eq!(primed.stats().cold_tunes, 0);
     }
 
+    /// A persisted plan is decoded with the same quantizer-radius range
+    /// as a stream spec: a radius the stream decoder (or the quantizer)
+    /// would reject must fail `PlanSnapshot::decode` as corrupt, and the
+    /// largest stream radius must prime, compress and decompress.
+    #[test]
+    fn snapshot_radius_range_matches_stream_spec() {
+        let data = Dataset::Miranda.generate(SizeClass::Tiny, 0);
+        let session = Session::builder()
+            .bound(ErrorBound::Rel(1e-3))
+            .build()
+            .unwrap();
+        let mut tuned = session.pipeline::<f32>();
+        tuned.compress(&data).unwrap();
+        let snap = tuned.plan_snapshot().expect("tuned cache snapshots");
+        let with_radius = |radius: u32| {
+            let mut s = snap.clone();
+            s.plan.spec.quant_radius = radius;
+            qoz_core::PlanSnapshot::decode(&s.encode())
+        };
+        for bad in [1, qoz_sz3::InterpSpec::MAX_QUANT_RADIUS + 1, u32::MAX] {
+            assert!(
+                matches!(with_radius(bad), Err(qoz_codec::CodecError::Corrupt(_))),
+                "radius {bad} accepted"
+            );
+        }
+
+        let max = qoz_sz3::InterpSpec::MAX_QUANT_RADIUS;
+        let mut primed = session.pipeline::<f32>();
+        primed.prime_plan(with_radius(max).expect("largest stream radius decodes"));
+        let out = primed.compress(&data).unwrap();
+        assert_eq!(primed.last_outcome(), Some(PlanOutcome::WarmHit));
+        let recon = session.decompress::<f32>(&out.blob).unwrap();
+        let abs = ErrorBound::Rel(1e-3).absolute(&data);
+        assert!(data.max_abs_diff(&recon) <= abs);
+    }
+
+    /// Likewise for the anchor stride: a stride the stream decoder
+    /// rejects must not decode from a plan snapshot.
+    #[test]
+    fn snapshot_anchor_stride_range_matches_stream_spec() {
+        let data = Dataset::Miranda.generate(SizeClass::Tiny, 0);
+        let session = Session::builder()
+            .bound(ErrorBound::Rel(1e-3))
+            .build()
+            .unwrap();
+        let mut tuned = session.pipeline::<f32>();
+        tuned.compress(&data).unwrap();
+        let snap = tuned.plan_snapshot().expect("tuned cache snapshots");
+        for bad in [1, 3, 6, (1 << 30) + 1, 1 << 31] {
+            let mut s = snap.clone();
+            s.plan.spec.anchor_stride = Some(bad);
+            assert!(
+                matches!(
+                    qoz_core::PlanSnapshot::decode(&s.encode()),
+                    Err(qoz_codec::CodecError::Corrupt(_))
+                ),
+                "anchor stride {bad} accepted"
+            );
+        }
+    }
+
     fn drifting_series(snapshots: usize) -> Vec<NdArray<f32>> {
         let shape = qoz_tensor::Shape::new(&[snapshots, 24, 24, 24]);
         let field = qoz_datagen::time_series_like(shape, 0xC0FFEE);

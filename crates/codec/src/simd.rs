@@ -113,10 +113,6 @@ pub fn cpu_features() -> String {
 pub const BLOCK: usize = 64;
 
 /// Quantizer constants pre-derived for the block kernels.
-///
-/// Construction fails (returns `None`) when the code radius is too large
-/// for the i32-based vector conversions; callers then stay on the scalar
-/// per-point path (which has no such limit).
 #[derive(Debug, Clone, Copy)]
 pub struct QuantSpec {
     /// The absolute error bound `e`.
@@ -133,19 +129,26 @@ pub struct QuantSpec {
 impl QuantSpec {
     /// Largest radius the vector kernels accept: codes stay well inside
     /// i32 range so the f64→i32 conversions are value-preserving.
+    /// Stream and plan decoders cap radii far below it, at `2^24`.
     pub const MAX_RADIUS: u32 = 1 << 30;
 
     /// Derive the block-kernel constants from a quantizer.
-    pub fn from_quantizer(q: &LinearQuantizer) -> Option<Self> {
-        if q.radius() > Self::MAX_RADIUS {
-            return None;
-        }
-        Some(QuantSpec {
+    ///
+    /// # Panics
+    /// Panics if the quantizer's radius exceeds [`Self::MAX_RADIUS`].
+    pub fn from_quantizer(q: &LinearQuantizer) -> Self {
+        assert!(
+            q.radius() <= Self::MAX_RADIUS,
+            "quantizer radius {} exceeds the block kernel's {}",
+            q.radius(),
+            Self::MAX_RADIUS
+        );
+        QuantSpec {
             e: q.error_bound(),
             two_e: 2.0 * q.error_bound(),
             limit: (q.radius() - 1) as f64,
             radius_f: q.radius() as f64,
-        })
+        }
     }
 }
 
@@ -369,7 +372,7 @@ mod tests {
     const PATHS: [KernelPath; 2] = [KernelPath::NATIVE, KernelPath::Scalar];
 
     fn check_block_f64(path: KernelPath, q: &LinearQuantizer, vals: &[f64], preds: &[f64]) {
-        let spec = QuantSpec::from_quantizer(q).unwrap();
+        let spec = QuantSpec::from_quantizer(q);
         let n = vals.len();
         let mut vals_f = vec![0f64; n];
         let mut codes = vec![0u32; n];
@@ -468,7 +471,7 @@ mod tests {
     #[test]
     fn f32_narrowing_check_matches_scalar() {
         let q = LinearQuantizer::new(1e-4);
-        let spec = QuantSpec::from_quantizer(&q).unwrap();
+        let spec = QuantSpec::from_quantizer(&q);
         // Large magnitudes where the f32 ULP exceeds the residual grid:
         // the narrowing bound check must reject exactly the same lanes.
         let vals: Vec<f32> = (0..32).map(|i| 1.0e7f32 + i as f32).collect();
@@ -501,9 +504,10 @@ mod tests {
 
     #[test]
     fn oversized_radius_rejected() {
-        let q = LinearQuantizer::with_radius(1e-3, (1 << 30) + 1);
-        assert!(QuantSpec::from_quantizer(&q).is_none());
-        assert!(QuantSpec::from_quantizer(&LinearQuantizer::new(1e-3)).is_some());
+        let q = LinearQuantizer::with_radius(1e-3, QuantSpec::MAX_RADIUS);
+        assert_eq!(QuantSpec::from_quantizer(&q).radius_f, (1u64 << 30) as f64);
+        let q = LinearQuantizer::with_radius(1e-3, QuantSpec::MAX_RADIUS + 1);
+        assert!(std::panic::catch_unwind(|| QuantSpec::from_quantizer(&q)).is_err());
     }
 
     #[test]

@@ -386,13 +386,10 @@ impl PlanSnapshot {
         }
         let anchor_stride = match r.get_u8()? {
             0 => None,
-            1 => {
-                let s = r.get_varint()?;
-                if !(1..=u32::MAX as u64).contains(&s) {
-                    return Err(CodecError::Corrupt("bad anchor stride in plan snapshot"));
-                }
-                Some(s as u32)
-            }
+            1 => Some(
+                InterpSpec::checked_anchor_stride(r.get_varint()?)
+                    .ok_or(CodecError::Corrupt("bad anchor stride in plan snapshot"))?,
+            ),
             _ => return Err(CodecError::Corrupt("bad anchor flag in plan snapshot")),
         };
         let max_level = r.get_varint()?;
@@ -430,10 +427,8 @@ impl PlanSnapshot {
             }
             level_ebs.push(eb);
         }
-        let quant_radius = r.get_varint()?;
-        if quant_radius == 0 || quant_radius > u32::MAX as u64 {
-            return Err(CodecError::Corrupt("bad quantizer radius in plan snapshot"));
-        }
+        let quant_radius = InterpSpec::checked_radius(r.get_varint()?)
+            .ok_or(CodecError::Corrupt("bad quantizer radius in plan snapshot"))?;
         if r.remaining() != 0 {
             return Err(CodecError::Corrupt("trailing bytes in plan snapshot"));
         }
@@ -450,7 +445,7 @@ impl PlanSnapshot {
                     max_level: max_level as u32,
                     level_configs,
                     level_ebs,
-                    quant_radius: quant_radius as u32,
+                    quant_radius,
                 },
             },
             ref_pred_err,

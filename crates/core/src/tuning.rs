@@ -8,10 +8,10 @@
 //! reused arena) plus its raw side streams.
 
 use crate::config::level_error_bounds;
-use qoz_codec::{EntropyScratch, LinearQuantizer};
+use qoz_codec::{LinearQuantizer, Scratch};
 use qoz_metrics::{autocorr, ssim, QualityMetric};
 use qoz_predict::{base_point_count, traverse_level, LevelConfig};
-use qoz_sz3::{compress_with_spec, InterpSpec};
+use qoz_sz3::{compress_with_spec_into, InterpSpec};
 use qoz_tensor::{NdArray, Scalar};
 
 /// One trial compression outcome on the sampled blocks.
@@ -159,9 +159,10 @@ pub fn aggregate_metric<T: Scalar>(
     }
 }
 
-/// The fixed inputs of the `(alpha, beta)` trials, plus the entropy arena
-/// and output buffer every trial encode reuses (a reused arena produces
-/// the same bytes as a fresh one).
+/// The fixed inputs of the `(alpha, beta)` trials, plus the buffers
+/// every trial reuses: one engine and entropy arena, the aggregated bins
+/// and one reconstruction per block (a reused arena produces the same
+/// bytes as a fresh one).
 struct Trials<'a, T: Scalar> {
     blocks: &'a [NdArray<T>],
     abs_eb: f64,
@@ -169,8 +170,9 @@ struct Trials<'a, T: Scalar> {
     block_levels: u32,
     metric: QualityMetric,
     global_range: f64,
-    entropy: EntropyScratch,
-    packed: Vec<u8>,
+    scratch: Scratch<T>,
+    bins: Vec<u32>,
+    recons: Vec<NdArray<T>>,
 }
 
 impl<'a, T: Scalar> Trials<'a, T> {
@@ -189,8 +191,9 @@ impl<'a, T: Scalar> Trials<'a, T> {
             block_levels,
             metric,
             global_range,
-            entropy: EntropyScratch::new(),
-            packed: Vec::new(),
+            scratch: Scratch::new(),
+            bins: Vec::new(),
+            recons: blocks.iter().map(|b| NdArray::zeros(b.shape())).collect(),
         }
     }
 
@@ -198,32 +201,31 @@ impl<'a, T: Scalar> Trials<'a, T> {
     /// bound `abs_eb * eb_scale`.
     fn run(&mut self, alpha: f64, beta: f64, eb_scale: f64) -> TrialResult {
         let e = self.abs_eb * eb_scale;
-        let ebs = level_error_bounds(e, alpha, beta, self.block_levels);
-        let mut all_bins: Vec<u32> = Vec::new();
+        let spec = InterpSpec {
+            anchor_stride: Some(1u32 << self.block_levels),
+            max_level: self.block_levels,
+            level_configs: self.level_configs[..self.block_levels as usize].to_vec(),
+            level_ebs: level_error_bounds(e, alpha, beta, self.block_levels),
+            quant_radius: LinearQuantizer::DEFAULT_RADIUS,
+        };
+        self.bins.clear();
         let mut side_bytes = 0usize;
         let mut points = 0usize;
-        let mut recons = Vec::with_capacity(self.blocks.len());
-        for block in self.blocks {
-            let spec = InterpSpec {
-                anchor_stride: Some(1u32 << self.block_levels),
-                max_level: self.block_levels,
-                level_configs: self.level_configs[..self.block_levels as usize].to_vec(),
-                level_ebs: ebs.clone(),
-                quant_radius: LinearQuantizer::DEFAULT_RADIUS,
-            };
-            let out = compress_with_spec(block, &spec);
-            all_bins.extend_from_slice(&out.bins);
-            side_bytes += out.unpred.len() + out.anchors.len();
+        for (block, recon) in self.blocks.iter().zip(&mut self.recons) {
+            compress_with_spec_into(block, &spec, &mut self.scratch);
+            self.bins.extend_from_slice(&self.scratch.bins);
+            side_bytes += self.scratch.unpred.len() + self.scratch.anchors.len();
             points += block.len();
-            recons.push(out.recon);
+            recon.as_mut_slice().copy_from_slice(&self.scratch.work);
         }
         // Paper §VI-A: prediction runs per block, but the entropy stage is
         // applied to the *aggregated* bins for an accurate bit-rate estimate.
-        qoz_codec::encode_bins_with(&all_bins, &mut self.entropy, &mut self.packed);
-        let bins_bits = self.packed.len() as f64 * 8.0;
+        let s = &mut self.scratch;
+        qoz_codec::encode_bins_with(&self.bins, &mut s.entropy, &mut s.section);
+        let bins_bits = s.section.len() as f64 * 8.0;
         TrialResult {
             bits_per_point: (bins_bits + side_bytes as f64 * 8.0) / points.max(1) as f64,
-            metric: aggregate_metric(self.metric, self.blocks, &recons, self.global_range),
+            metric: aggregate_metric(self.metric, self.blocks, &self.recons, self.global_range),
         }
     }
 

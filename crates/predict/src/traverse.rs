@@ -7,10 +7,15 @@
 //! level 1 completes, every point has been visited exactly once.
 //!
 //! The traversal is a pure function of `(shape, level, config)`; the
-//! compressor and decompressor run the identical sequence of
-//! `(offset, prediction)` callbacks, differing only in what they do at
-//! each point (quantize vs. reconstruct). That symmetry is the error-bound
-//! guarantee's foundation and is covered by tests below.
+//! compressor and decompressor see the identical sequence of
+//! `(offset, prediction)` pairs, differing only in what they do at each
+//! point (quantize vs. reconstruct). That symmetry is the error-bound
+//! guarantee's foundation, so it is written once: [`traverse_level_runs`]
+//! is the only level walk. It hands boundary points and whole interior
+//! [`LineRun`]s to a [`RunSink`] — the engine's compress sink quantizes
+//! runs block by block — and [`traverse_level`] is its per-point view,
+//! used by decode and the tuner. Both are checked against a naive
+//! multi-index reference in the tests below.
 
 use crate::interp::{predict_line, DimOrder, InterpKind, LevelConfig};
 use qoz_tensor::{Scalar, Shape, MAX_NDIM};
@@ -89,16 +94,17 @@ pub fn base_point_count(shape: Shape, stride: usize) -> usize {
 ///
 /// For every point predicted on this level, `f(data, offset, prediction)`
 /// is called exactly once; the callback must write the reconstructed
-/// value to `data[offset]` before returning (later predictions read it).
+/// value to `data[offset]` before returning (later predictions read it)
+/// and must not write anywhere else.
 ///
 /// `level >= 1`; the level stride is `2^(level-1)`.
 ///
-/// The traversal is line-oriented: each pass walks whole contiguous
-/// lines along the innermost dimension with a fused per-kernel stencil
-/// (offsets maintained incrementally, no multi-index materialization).
-/// The visit order and the f64 arithmetic are exactly those of the
-/// original per-point odometer, so compressed streams are byte-identical
-/// (pinned by `tests/golden_bitstream.rs`).
+/// A per-point view of [`traverse_level_runs`]: boundary points arrive
+/// with their prediction, and each interior run is walked with the
+/// stencil loop behind [`fill_preds`], calling `f` as each prediction is
+/// made. Runs never read their own points, so `f` sees the
+/// `(offset, prediction)` sequence of a point-at-a-time walk (asserted
+/// against a naive reference in this module's tests).
 pub fn traverse_level<T: Scalar>(
     data: &mut [T],
     shape: Shape,
@@ -106,250 +112,24 @@ pub fn traverse_level<T: Scalar>(
     cfg: LevelConfig,
     f: &mut impl FnMut(&mut [T], usize, f64),
 ) {
-    assert!(level >= 1, "levels are numbered from 1");
-    assert_eq!(data.len(), shape.len(), "buffer/shape mismatch");
-    let s = 1usize << (level - 1);
-    let nd = shape.ndim();
-
-    for pass in 0..nd {
-        let cur = match cfg.order {
-            DimOrder::Ascending => pass,
-            DimOrder::Descending => nd - 1 - pass,
-        };
-        let n_cur = shape.dim(cur);
-        // Nothing to predict along this dimension at this stride.
-        if n_cur <= s {
-            continue;
-        }
-        // Allowed coordinates per dimension for this pass: the predicted
-        // dimension walks the odd multiples of `s`; dimensions refined
-        // earlier in this level sit on the full stride-s grid; the rest
-        // only exist on the coarse stride-2s grid.
-        let mut steps = [1usize; MAX_NDIM];
-        let mut counts = [1usize; MAX_NDIM];
-        let mut base = 0usize; // offset of the first predicted point
-        for d in 0..nd {
-            let refined_earlier = match cfg.order {
-                DimOrder::Ascending => d < cur,
-                DimOrder::Descending => d > cur,
-            };
-            let (start, step) = if d == cur {
-                (s, 2 * s)
-            } else if refined_earlier {
-                (0, s)
-            } else {
-                (0, 2 * s)
-            };
-            steps[d] = step;
-            counts[d] = (shape.dim(d) - 1 - start) / step + 1;
-            base += start * shape.stride(d);
-        }
-        pass_lines(
-            data, shape, cur, s, n_cur, &steps, &counts, base, cfg.kind, f,
-        );
-    }
+    traverse_level_runs(data, shape, level, cfg, &mut PointSink(f));
 }
 
-/// One pass of [`traverse_level`]: iterate the outer dimensions with an
-/// incremental-offset odometer and run a fused kernel along each
-/// contiguous inner line.
-#[allow(clippy::too_many_arguments)]
-fn pass_lines<T: Scalar>(
-    data: &mut [T],
-    shape: Shape,
-    cur: usize,
-    s: usize,
-    n_cur: usize,
-    steps: &[usize; MAX_NDIM],
-    counts: &[usize; MAX_NDIM],
-    base: usize,
-    kind: InterpKind,
-    f: &mut impl FnMut(&mut [T], usize, f64),
-) {
-    let nd = shape.ndim();
-    let last = nd - 1;
-    let contiguous = cur == last;
-    let stride_cur = shape.stride(cur);
-    let mut idx = [0usize; MAX_NDIM];
-    let mut line_off = base;
-    loop {
-        if contiguous {
-            line_contiguous(data, line_off, s, n_cur, counts[last], kind, f);
-        } else {
-            // The coordinate along `cur` is fixed for the whole line, so
-            // the stencil (and its boundary degradation) is chosen once.
-            let x = s * (2 * idx[cur] + 1);
-            line_strided(
-                data,
-                line_off,
-                x,
-                s,
-                n_cur,
-                stride_cur,
-                counts[last],
-                steps[last],
-                kind,
-                f,
-            );
-        }
-        // Odometer over the outer dimensions, second-to-last fastest.
-        let mut d = last;
-        loop {
-            if d == 0 {
-                return;
-            }
-            d -= 1;
-            idx[d] += 1;
-            line_off += steps[d] * shape.stride(d);
-            if idx[d] < counts[d] {
-                break;
-            }
-            idx[d] = 0;
-            line_off -= counts[d] * steps[d] * shape.stride(d);
-        }
-    }
-}
+/// The [`RunSink`] behind [`traverse_level`]: forwards boundary points
+/// and expands runs into per-point callbacks.
+struct PointSink<'a, F>(&'a mut F);
 
-/// Predict a line *along* the innermost dimension: points sit at odd
-/// multiples of `s` (`x = s, 3s, 5s, ...`) with unit element stride, so
-/// neighbours live at fixed relative offsets `±s`, `±3s`. The first and
-/// last couple of points can lack far neighbours; they go through the
-/// generic boundary-degrading [`predict_line`], the interior through a
-/// branch-free fused stencil.
-fn line_contiguous<T: Scalar>(
-    data: &mut [T],
-    line_off: usize,
-    s: usize,
-    n: usize,
-    cnt: usize,
-    kind: InterpKind,
-    f: &mut impl FnMut(&mut [T], usize, f64),
-) {
-    let line_base = line_off - s;
-    // Largest k with 2*s*k <= n-1; the full-stencil j-ranges derive from
-    // it: point j sits at x = s*(2j+1), and e.g. `x + s < n` <=> `j < q`.
-    let q = (n - 1) / (2 * s);
-    let (lo, hi) = match kind {
-        InterpKind::Linear => (0usize, q),
-        InterpKind::Cubic => (1, q.saturating_sub(1)),
-        InterpKind::Quadratic => (1, q),
-    };
-    let lo = lo.min(cnt);
-    let hi = hi.clamp(lo, cnt);
-    let mut j = 0usize;
-    let mut off = line_off;
-    while j < lo {
-        let x = s * (2 * j + 1);
-        let pred = predict_line(kind, x, s, n, |p| data[line_base + p].to_f64());
-        f(data, off, pred);
-        off += 2 * s;
-        j += 1;
+// Forced inlining keeps the caller's callback inside the walk's loops,
+// as it is in a hand-written per-point loop (measurably faster decode).
+impl<T: Scalar, F: FnMut(&mut [T], usize, f64)> RunSink<T> for PointSink<'_, F> {
+    #[inline(always)]
+    fn point(&mut self, data: &mut [T], off: usize, pred: f64) {
+        (self.0)(data, off, pred);
     }
-    match kind {
-        InterpKind::Linear => {
-            while j < hi {
-                let pred = (data[off - s].to_f64() + data[off + s].to_f64()) * 0.5;
-                f(data, off, pred);
-                off += 2 * s;
-                j += 1;
-            }
-        }
-        InterpKind::Cubic => {
-            let s3 = 3 * s;
-            while j < hi {
-                let pred = (-data[off - s3].to_f64()
-                    + 9.0 * data[off - s].to_f64()
-                    + 9.0 * data[off + s].to_f64()
-                    - data[off + s3].to_f64())
-                    / 16.0;
-                f(data, off, pred);
-                off += 2 * s;
-                j += 1;
-            }
-        }
-        InterpKind::Quadratic => {
-            let s3 = 3 * s;
-            while j < hi {
-                let pred = (-data[off - s3].to_f64()
-                    + 6.0 * data[off - s].to_f64()
-                    + 3.0 * data[off + s].to_f64())
-                    / 8.0;
-                f(data, off, pred);
-                off += 2 * s;
-                j += 1;
-            }
-        }
-    }
-    while j < cnt {
-        let x = s * (2 * j + 1);
-        let pred = predict_line(kind, x, s, n, |p| data[line_base + p].to_f64());
-        f(data, off, pred);
-        off += 2 * s;
-        j += 1;
-    }
-}
 
-/// Predict a contiguous line *across* the interpolated dimension: every
-/// point on the line shares the same coordinate `x` along `cur`, so one
-/// stencil (with neighbours at fixed offsets `±s*stride_cur`,
-/// `±3s*stride_cur`) applies to the whole run. `x >= s` always holds
-/// (predicted coordinates start at `s`), so only the right boundary can
-/// degrade the kernel.
-#[allow(clippy::too_many_arguments)]
-fn line_strided<T: Scalar>(
-    data: &mut [T],
-    line_off: usize,
-    x: usize,
-    s: usize,
-    n_cur: usize,
-    stride_cur: usize,
-    cnt: usize,
-    step: usize,
-    kind: InterpKind,
-    f: &mut impl FnMut(&mut [T], usize, f64),
-) {
-    let d1 = s * stride_cur;
-    let d3 = 3 * s * stride_cur;
-    let mut off = line_off;
-    if x + s < n_cur {
-        let has_left2 = x >= 3 * s;
-        match kind {
-            InterpKind::Cubic if has_left2 && x + 3 * s < n_cur => {
-                for _ in 0..cnt {
-                    let pred = (-data[off - d3].to_f64()
-                        + 9.0 * data[off - d1].to_f64()
-                        + 9.0 * data[off + d1].to_f64()
-                        - data[off + d3].to_f64())
-                        / 16.0;
-                    f(data, off, pred);
-                    off += step;
-                }
-            }
-            InterpKind::Quadratic if has_left2 => {
-                for _ in 0..cnt {
-                    let pred = (-data[off - d3].to_f64()
-                        + 6.0 * data[off - d1].to_f64()
-                        + 3.0 * data[off + d1].to_f64())
-                        / 8.0;
-                    f(data, off, pred);
-                    off += step;
-                }
-            }
-            _ => {
-                for _ in 0..cnt {
-                    let pred = (data[off - d1].to_f64() + data[off + d1].to_f64()) * 0.5;
-                    f(data, off, pred);
-                    off += step;
-                }
-            }
-        }
-    } else {
-        // No right neighbour at this stride: copy the left one.
-        for _ in 0..cnt {
-            let pred = data[off - d1].to_f64();
-            f(data, off, pred);
-            off += step;
-        }
+    #[inline(always)]
+    fn run(&mut self, data: &mut [T], run: &LineRun) {
+        walk_run(data, run, &mut *self.0);
     }
 }
 
@@ -391,55 +171,79 @@ pub struct LineRun {
 /// `run.off0 + k*run.step`, for `k < preds.len()`.
 ///
 /// `preds.len()` may be shorter than `run.cnt` (callers chunk long runs
-/// into blocks; pass a shifted `off0` for later chunks). The stencil
-/// expressions are exactly those of the per-point line kernels above, so
-/// the predictions are bit-identical to [`traverse_level`]'s.
-pub fn fill_preds<T: Scalar>(data: &[T], run: &LineRun, preds: &mut [f64]) {
-    let (d1, d3) = (run.d1, run.d3);
+/// into blocks; pass a shifted `off0` for later chunks). `data` is only
+/// read; it is borrowed mutably because the stencil loop it shares with
+/// [`traverse_level`] hands the buffer on to a writing callback there.
+pub fn fill_preds<T: Scalar>(data: &mut [T], run: &LineRun, preds: &mut [f64]) {
+    let chunk = LineRun {
+        cnt: preds.len(),
+        ..*run
+    };
+    let mut k = 0;
+    walk_run(data, &chunk, |_, _, pred| {
+        preds[k] = pred;
+        k += 1;
+    });
+}
+
+/// Predict the points of `run` in order, calling
+/// `emit(data, offset, prediction)` after each one.
+///
+/// These are the only copies of the interior stencils; each is the same
+/// f64 expression as the matching full-stencil case of [`predict_line`],
+/// so a point gets the same bits whichever of the two predicts it. The
+/// match sits outside the loops, so every stencil runs as its own tight
+/// loop with `emit` inlined.
+#[inline(always)]
+fn walk_run<T: Scalar>(data: &mut [T], run: &LineRun, mut emit: impl FnMut(&mut [T], usize, f64)) {
+    let (d1, d3, step, cnt) = (run.d1, run.d3, run.step, run.cnt);
     let mut off = run.off0;
     match run.stencil {
         RunStencil::CopyLeft => {
-            for p in preds.iter_mut() {
-                *p = data[off - d1].to_f64();
-                off += run.step;
+            for _ in 0..cnt {
+                let pred = data[off - d1].to_f64();
+                emit(data, off, pred);
+                off += step;
             }
         }
         RunStencil::Interp(InterpKind::Linear) => {
-            for p in preds.iter_mut() {
-                *p = (data[off - d1].to_f64() + data[off + d1].to_f64()) * 0.5;
-                off += run.step;
+            for _ in 0..cnt {
+                let pred = (data[off - d1].to_f64() + data[off + d1].to_f64()) * 0.5;
+                emit(data, off, pred);
+                off += step;
             }
         }
         RunStencil::Interp(InterpKind::Cubic) => {
-            for p in preds.iter_mut() {
-                *p = (-data[off - d3].to_f64()
+            for _ in 0..cnt {
+                let pred = (-data[off - d3].to_f64()
                     + 9.0 * data[off - d1].to_f64()
                     + 9.0 * data[off + d1].to_f64()
                     - data[off + d3].to_f64())
                     / 16.0;
-                off += run.step;
+                emit(data, off, pred);
+                off += step;
             }
         }
         RunStencil::Interp(InterpKind::Quadratic) => {
-            for p in preds.iter_mut() {
-                *p = (-data[off - d3].to_f64()
+            for _ in 0..cnt {
+                let pred = (-data[off - d3].to_f64()
                     + 6.0 * data[off - d1].to_f64()
                     + 3.0 * data[off + d1].to_f64())
                     / 8.0;
-                off += run.step;
+                emit(data, off, pred);
+                off += step;
             }
         }
     }
 }
 
-/// Consumer of the run-granular traversal [`traverse_level_runs`].
+/// Consumer of the level walk [`traverse_level_runs`].
 ///
 /// `point` receives boundary points one at a time with their prediction
 /// already computed (via the degrading [`predict_line`]); `run` receives
 /// interior segments and computes predictions itself (typically with
-/// [`fill_preds`], block by block). Both must write the
-/// reconstruction into `data` before returning, exactly like the
-/// [`traverse_level`] callback.
+/// [`fill_preds`], block by block). Both must write each point's
+/// reconstruction into `data` before returning, and nothing else.
 pub trait RunSink<T: Scalar> {
     /// One boundary point with its prediction.
     fn point(&mut self, data: &mut [T], off: usize, pred: f64);
@@ -447,13 +251,24 @@ pub trait RunSink<T: Scalar> {
     fn run(&mut self, data: &mut [T], run: &LineRun);
 }
 
-/// Run-granular mirror of [`traverse_level`]: the identical visit order
-/// and stencil selection, but interior line segments are handed to the
-/// sink as whole [`LineRun`]s instead of per-point callbacks, so block
-/// kernels can process them lane-parallel. With a sink that evaluates
-/// each run point-by-point left to right, the `(offset, prediction)`
-/// sequence is exactly that of [`traverse_level`] (bit-for-bit; the
-/// equivalence is asserted by this module's tests).
+/// Run one interpolation level over `data`, handing boundary points and
+/// interior [`LineRun`]s to `sink` in traversal order.
+///
+/// This is the only level walk: compress runs it with the engine's block
+/// sink, decode and the tuner through [`traverse_level`]. Each dimension
+/// is refined in one pass, in `cfg.order`. A pass walks lines along the
+/// innermost dimension, with an incremental-offset odometer over the
+/// outer dimensions (second-to-last fastest, no multi-index per point):
+///
+/// * a line *along* the interpolated dimension has its neighbours at
+///   `±s`, `±3s`; its first and last points can lack far neighbours and
+///   go to `sink.point` through [`predict_line`], and the full-stencil
+///   interior is one run;
+/// * a line *across* it has one coordinate along the interpolated
+///   dimension, so one stencil (with its right-boundary degradation)
+///   covers the whole line, which is one run.
+///
+/// `level >= 1`; the level stride is `s = 2^(level-1)`.
 pub fn traverse_level_runs<T: Scalar>(
     data: &mut [T],
     shape: Shape,
@@ -465,6 +280,7 @@ pub fn traverse_level_runs<T: Scalar>(
     assert_eq!(data.len(), shape.len(), "buffer/shape mismatch");
     let s = 1usize << (level - 1);
     let nd = shape.ndim();
+    let last = nd - 1;
 
     for pass in 0..nd {
         let cur = match cfg.order {
@@ -472,13 +288,17 @@ pub fn traverse_level_runs<T: Scalar>(
             DimOrder::Descending => nd - 1 - pass,
         };
         let n_cur = shape.dim(cur);
+        // Nothing to predict along this dimension at this stride.
         if n_cur <= s {
             continue;
         }
-        // Same per-pass geometry as `traverse_level` (see there).
+        // Allowed coordinates per dimension for this pass: the predicted
+        // dimension walks the odd multiples of `s`; dimensions refined
+        // earlier in this level sit on the full stride-s grid; the rest
+        // only exist on the coarse stride-2s grid.
         let mut steps = [1usize; MAX_NDIM];
         let mut counts = [1usize; MAX_NDIM];
-        let mut base = 0usize;
+        let mut line_off = 0usize; // offset of the first predicted point
         for d in 0..nd {
             let refined_earlier = match cfg.order {
                 DimOrder::Ascending => d < cur,
@@ -493,85 +313,67 @@ pub fn traverse_level_runs<T: Scalar>(
             };
             steps[d] = step;
             counts[d] = (shape.dim(d) - 1 - start) / step + 1;
-            base += start * shape.stride(d);
+            line_off += start * shape.stride(d);
         }
-        pass_lines_runs(
-            data, shape, cur, s, n_cur, &steps, &counts, base, cfg.kind, sink,
-        );
-    }
-}
-
-/// One pass of [`traverse_level_runs`]: the [`pass_lines`] odometer with
-/// run-granular line kernels.
-#[allow(clippy::too_many_arguments)]
-fn pass_lines_runs<T: Scalar>(
-    data: &mut [T],
-    shape: Shape,
-    cur: usize,
-    s: usize,
-    n_cur: usize,
-    steps: &[usize; MAX_NDIM],
-    counts: &[usize; MAX_NDIM],
-    base: usize,
-    kind: InterpKind,
-    sink: &mut impl RunSink<T>,
-) {
-    let nd = shape.ndim();
-    let last = nd - 1;
-    let contiguous = cur == last;
-    let stride_cur = shape.stride(cur);
-    let mut idx = [0usize; MAX_NDIM];
-    let mut line_off = base;
-    loop {
-        if contiguous {
-            line_contiguous_runs(data, line_off, s, n_cur, counts[last], kind, sink);
-        } else {
-            let x = s * (2 * idx[cur] + 1);
-            let stencil = if x + s < n_cur {
-                let has_left2 = x >= 3 * s;
-                match kind {
-                    InterpKind::Cubic if has_left2 && x + 3 * s < n_cur => {
-                        RunStencil::Interp(InterpKind::Cubic)
-                    }
-                    InterpKind::Quadratic if has_left2 => RunStencil::Interp(InterpKind::Quadratic),
-                    _ => RunStencil::Interp(InterpKind::Linear),
-                }
+        let stride_cur = shape.stride(cur);
+        let mut idx = [0usize; MAX_NDIM];
+        'lines: loop {
+            if cur == last {
+                contiguous_line(data, line_off, s, n_cur, counts[last], cfg.kind, sink);
             } else {
-                RunStencil::CopyLeft
-            };
-            sink.run(
-                data,
-                &LineRun {
-                    off0: line_off,
-                    step: steps[last],
-                    cnt: counts[last],
-                    d1: s * stride_cur,
-                    d3: 3 * s * stride_cur,
-                    stencil,
-                },
-            );
-        }
-        let mut d = last;
-        loop {
-            if d == 0 {
-                return;
+                // Predicted coordinates start at `s`, so only the right
+                // boundary can degrade the stencil.
+                let x = s * (2 * idx[cur] + 1);
+                let stencil = if x + s < n_cur {
+                    let has_left2 = x >= 3 * s;
+                    match cfg.kind {
+                        InterpKind::Cubic if has_left2 && x + 3 * s < n_cur => {
+                            RunStencil::Interp(InterpKind::Cubic)
+                        }
+                        InterpKind::Quadratic if has_left2 => {
+                            RunStencil::Interp(InterpKind::Quadratic)
+                        }
+                        _ => RunStencil::Interp(InterpKind::Linear),
+                    }
+                } else {
+                    RunStencil::CopyLeft
+                };
+                sink.run(
+                    data,
+                    &LineRun {
+                        off0: line_off,
+                        step: steps[last],
+                        cnt: counts[last],
+                        d1: s * stride_cur,
+                        d3: 3 * s * stride_cur,
+                        stencil,
+                    },
+                );
             }
-            d -= 1;
-            idx[d] += 1;
-            line_off += steps[d] * shape.stride(d);
-            if idx[d] < counts[d] {
-                break;
+            // Odometer over the outer dimensions, second-to-last fastest.
+            let mut d = last;
+            loop {
+                if d == 0 {
+                    break 'lines;
+                }
+                d -= 1;
+                idx[d] += 1;
+                line_off += steps[d] * shape.stride(d);
+                if idx[d] < counts[d] {
+                    break;
+                }
+                idx[d] = 0;
+                line_off -= counts[d] * steps[d] * shape.stride(d);
             }
-            idx[d] = 0;
-            line_off -= counts[d] * steps[d] * shape.stride(d);
         }
     }
 }
 
-/// Run-granular version of [`line_contiguous`]: boundary head/tail
-/// points (degraded stencils) go through `sink.point`, the full-stencil
-/// interior becomes one [`LineRun`].
-fn line_contiguous_runs<T: Scalar>(
+/// One line along the innermost (interpolated) dimension: points at
+/// `x = s, 3s, 5s, ...` with unit element stride. Head and tail points
+/// whose stencil degrades at the array boundary go to `sink.point`; the
+/// full-stencil interior becomes one [`LineRun`].
+fn contiguous_line<T: Scalar>(
     data: &mut [T],
     line_off: usize,
     s: usize,
@@ -581,6 +383,8 @@ fn line_contiguous_runs<T: Scalar>(
     sink: &mut impl RunSink<T>,
 ) {
     let line_base = line_off - s;
+    // Largest k with 2*s*k <= n-1; the full-stencil j-ranges derive from
+    // it: point j sits at x = s*(2j+1), and e.g. `x + s < n` <=> `j < q`.
     let q = (n - 1) / (2 * s);
     let (lo, hi) = match kind {
         InterpKind::Linear => (0usize, q),
@@ -589,20 +393,21 @@ fn line_contiguous_runs<T: Scalar>(
     };
     let lo = lo.min(cnt);
     let hi = hi.clamp(lo, cnt);
-    let mut j = 0usize;
-    let mut off = line_off;
-    while j < lo {
+    // Offset and degraded prediction of boundary point `j`.
+    let boundary = |data: &[T], j: usize| {
         let x = s * (2 * j + 1);
         let pred = predict_line(kind, x, s, n, |p| data[line_base + p].to_f64());
+        (line_base + x, pred)
+    };
+    for j in 0..lo {
+        let (off, pred) = boundary(data, j);
         sink.point(data, off, pred);
-        off += 2 * s;
-        j += 1;
     }
     if hi > lo {
         sink.run(
             data,
             &LineRun {
-                off0: off,
+                off0: line_base + s * (2 * lo + 1),
                 step: 2 * s,
                 cnt: hi - lo,
                 d1: s,
@@ -610,15 +415,10 @@ fn line_contiguous_runs<T: Scalar>(
                 stencil: RunStencil::Interp(kind),
             },
         );
-        off += (hi - lo) * 2 * s;
-        j = hi;
     }
-    while j < cnt {
-        let x = s * (2 * j + 1);
-        let pred = predict_line(kind, x, s, n, |p| data[line_base + p].to_f64());
+    for j in hi..cnt {
+        let (off, pred) = boundary(data, j);
         sink.point(data, off, pred);
-        off += 2 * s;
-        j += 1;
     }
 }
 
@@ -663,7 +463,7 @@ pub fn level_point_count(shape: Shape, level: u32, cfg: LevelConfig) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::interp::{DimOrder, InterpKind};
+    use crate::interp::{predict_line, DimOrder, InterpKind};
     use qoz_tensor::NdArray;
 
     fn full_traversal_offsets(shape: Shape, cfg: LevelConfig, start_level: u32) -> Vec<usize> {
@@ -852,20 +652,85 @@ mod tests {
         }
     }
 
-    /// Run-granular traversal with a block sink must reproduce the exact
-    /// `(offset, prediction)` sequence of the per-point traversal — the
-    /// contract the engine's compress sink stands on.
+    /// Naive reference level walk, written independently of the real
+    /// one: per pass, a full multi-index odometer over the pass lattice
+    /// (last dimension fastest), every point predicted by `predict_line`
+    /// along the interpolated dimension.
+    fn reference_level(
+        data: &mut [f64],
+        shape: Shape,
+        level: u32,
+        cfg: LevelConfig,
+        f: &mut impl FnMut(&mut [f64], usize, f64),
+    ) {
+        let s = 1usize << (level - 1);
+        let nd = shape.ndim();
+        let dims: Vec<usize> = match cfg.order {
+            DimOrder::Ascending => (0..nd).collect(),
+            DimOrder::Descending => (0..nd).rev().collect(),
+        };
+        for (pass, &cur) in dims.iter().enumerate() {
+            let coords: Vec<Vec<usize>> = (0..nd)
+                .map(|d| {
+                    let n = shape.dim(d);
+                    if d == cur {
+                        (s..n).step_by(2 * s).collect()
+                    } else if dims[..pass].contains(&d) {
+                        (0..n).step_by(s).collect()
+                    } else {
+                        (0..n).step_by(2 * s).collect()
+                    }
+                })
+                .collect();
+            if coords.iter().any(Vec::is_empty) {
+                continue;
+            }
+            let sc = shape.stride(cur);
+            let mut idx = vec![0usize; nd];
+            'points: loop {
+                let off: usize = (0..nd).map(|d| coords[d][idx[d]] * shape.stride(d)).sum();
+                let x = coords[cur][idx[cur]];
+                let line0 = off - x * sc;
+                let pred = predict_line(cfg.kind, x, s, shape.dim(cur), |p| data[line0 + p * sc]);
+                f(data, off, pred);
+                let mut d = nd;
+                loop {
+                    if d == 0 {
+                        break 'points;
+                    }
+                    d -= 1;
+                    idx[d] += 1;
+                    if idx[d] < coords[d].len() {
+                        break;
+                    }
+                    idx[d] = 0;
+                }
+            }
+        }
+    }
+
+    /// Both faces of the one level walk — the per-point
+    /// [`traverse_level`] and a 64-lane block sink over
+    /// [`traverse_level_runs`] + [`fill_preds`] (the engine's compress
+    /// shape) — must reproduce the naive reference's exact
+    /// `(offset, prediction bits)` sequence and final buffer. The
+    /// callback writes a value derived from the prediction, so any
+    /// read-before-write slip shows up in later predictions.
     #[test]
-    fn run_traversal_matches_per_point_on_all_paths() {
+    fn level_walk_matches_naive_reference() {
         const BLOCK: usize = 64;
 
-        struct RecSink {
+        fn write(seq: &mut Vec<(usize, u64)>, data: &mut [f64], off: usize, pred: f64) {
+            seq.push((off, pred.to_bits()));
+            data[off] = pred * 0.5 + 1.0;
+        }
+
+        struct BlockSink {
             seq: Vec<(usize, u64)>,
         }
-        impl RunSink<f64> for RecSink {
+        impl RunSink<f64> for BlockSink {
             fn point(&mut self, data: &mut [f64], off: usize, pred: f64) {
-                self.seq.push((off, pred.to_bits()));
-                data[off] = pred * 0.5 + 1.0;
+                write(&mut self.seq, data, off, pred);
             }
             fn run(&mut self, data: &mut [f64], run: &LineRun) {
                 let mut preds = [0f64; BLOCK];
@@ -877,11 +742,8 @@ mod tests {
                         ..*run
                     };
                     fill_preds(data, &chunk, &mut preds[..m]);
-                    let mut off = chunk.off0;
-                    for &p in &preds[..m] {
-                        self.seq.push((off, p.to_bits()));
-                        data[off] = p * 0.5 + 1.0;
-                        off += run.step;
+                    for (k, &p) in preds[..m].iter().enumerate() {
+                        write(&mut self.seq, data, chunk.off0 + k * run.step, p);
                     }
                     done += m;
                 }
@@ -891,33 +753,40 @@ mod tests {
         let shapes = [
             Shape::d1(2),
             Shape::d1(100),
+            Shape::d1(300),
             Shape::d2(9, 9),
             Shape::d2(33, 17),
             Shape::d2(1, 50),
+            Shape::d2(200, 3),
             Shape::d3(7, 10, 5),
             Shape::new(&[3, 5, 4, 6]),
         ];
+        let init = |i: usize| ((i as f64) * 0.7).sin() * 100.0 + (i % 13) as f64 * 0.01;
         for shape in shapes {
             for cfg in LevelConfig::candidates() {
-                for level in 1..=max_level(shape).max(1) {
-                    let init = |i: usize| ((i as f64) * 0.7).sin() * 100.0 + (i % 13) as f64 * 0.01;
-                    let mut want_data: Vec<f64> = (0..shape.len()).map(init).collect();
+                for level in 1..=max_level(shape).max(1) + 1 {
+                    let what = format!("{shape:?} level {level} {cfg:?}");
+                    let fresh = || -> Vec<f64> { (0..shape.len()).map(init).collect() };
+
+                    let mut want_data = fresh();
                     let mut want = Vec::new();
-                    traverse_level(&mut want_data, shape, level, cfg, &mut |d, off, pred| {
-                        want.push((off, pred.to_bits()));
-                        d[off] = pred * 0.5 + 1.0;
+                    reference_level(&mut want_data, shape, level, cfg, &mut |d, off, p| {
+                        write(&mut want, d, off, p)
                     });
-                    let mut data: Vec<f64> = (0..shape.len()).map(init).collect();
-                    let mut sink = RecSink { seq: Vec::new() };
+
+                    let mut data = fresh();
+                    let mut seq = Vec::new();
+                    traverse_level(&mut data, shape, level, cfg, &mut |d, off, p| {
+                        write(&mut seq, d, off, p)
+                    });
+                    assert_eq!(seq, want, "traverse_level sequence: {what}");
+                    assert_eq!(data, want_data, "traverse_level buffer: {what}");
+
+                    let mut data = fresh();
+                    let mut sink = BlockSink { seq: Vec::new() };
                     traverse_level_runs(&mut data, shape, level, cfg, &mut sink);
-                    assert_eq!(
-                        sink.seq, want,
-                        "sequence diverged: {shape:?} level {level} {cfg:?}"
-                    );
-                    assert_eq!(
-                        data, want_data,
-                        "buffer diverged: {shape:?} level {level} {cfg:?}"
-                    );
+                    assert_eq!(sink.seq, want, "block sink sequence: {what}");
+                    assert_eq!(data, want_data, "block sink buffer: {what}");
                 }
             }
         }
@@ -989,11 +858,11 @@ mod tests {
     /// `fill_preds` on f64 inputs against the stencil formulas.
     #[test]
     fn fill_preds_matches_stencil_formulas() {
-        let data = stencil_data();
+        let mut data = stencil_data();
         for run in stencil_runs() {
             let n = run.cnt;
             let mut preds = vec![0f64; n];
-            fill_preds(&data, &run, &mut preds);
+            fill_preds(&mut data, &run, &mut preds);
             let got: Vec<u64> = preds.iter().map(|p| p.to_bits()).collect();
             assert_eq!(
                 got,
@@ -1009,12 +878,12 @@ mod tests {
     /// combining, so it matches the formulas on the widened data.
     #[test]
     fn fill_preds_widens_f32_before_combining() {
-        let data32: Vec<f32> = stencil_data().iter().map(|&v| v as f32).collect();
+        let mut data32: Vec<f32> = stencil_data().iter().map(|&v| v as f32).collect();
         let wide32: Vec<f64> = data32.iter().map(|&v| v as f64).collect();
         for run in stencil_runs() {
             let n = run.cnt;
             let mut preds = vec![0f64; n];
-            fill_preds(&data32, &run, &mut preds);
+            fill_preds(&mut data32, &run, &mut preds);
             let got: Vec<u64> = preds.iter().map(|p| p.to_bits()).collect();
             assert_eq!(
                 got,

@@ -12,9 +12,16 @@
 //!    reconstruction so later predictions see decompressor-identical
 //!    values.
 //!
-//! [`compress_with_spec`] additionally returns the full reconstruction
-//! and the mean absolute prediction error — the two quantities QoZ's
-//! online tuner needs — so trial compressions cost a single pass.
+//! Compress and decode walk each level through the one traversal,
+//! [`traverse_level_runs`]: compress with a block sink that quantizes
+//! whole interior runs through [`quantize_block`] (whose kernel path is
+//! the only thing `QOZ_FORCE_SCALAR` changes), decode through the
+//! per-point [`traverse_level`] view of the same walk.
+//!
+//! [`compress_with_spec_into`] leaves the full reconstruction in the
+//! arena and returns the mean absolute prediction error — the two
+//! quantities QoZ's online tuner needs — so a trial compression costs a
+//! single pass.
 
 use crate::spec::InterpSpec;
 use qoz_codec::simd::{quantize_block, KernelPath, QuantSpec, BLOCK};
@@ -28,7 +35,7 @@ use qoz_tensor::{NdArray, Scalar, Shape};
 
 /// Publish the kernel path the compress engine runs as the
 /// `qoz_kernel_path` gauge (1 on the active path, 0 on the others), so
-/// a daemon silently running the scalar fallback is visible in
+/// a daemon silently running the scalar lanes is visible in
 /// `qoz remote stats`. Only re-published when the path changes.
 fn note_kernel_path(path: KernelPath) {
     use std::sync::atomic::{AtomicU8, Ordering};
@@ -43,37 +50,8 @@ fn note_kernel_path(path: KernelPath) {
     }
 }
 
-/// Everything produced by one compression pass.
-#[derive(Debug, Clone)]
-pub struct CompressOutput<T: Scalar> {
-    /// Quantization codes in traversal order (0 = unpredictable).
-    pub bins: Vec<u32>,
-    /// Exact little-endian values for unpredictable points, in order.
-    pub unpred: Vec<u8>,
-    /// Exact little-endian anchor values (empty when unanchored).
-    pub anchors: Vec<u8>,
-    /// The reconstruction the decompressor will produce (bit-identical).
-    pub recon: NdArray<T>,
-    /// Sum of `|value - prediction|` over all interpolated points.
-    pub sum_abs_pred_err: f64,
-    /// Number of interpolated points (for mean error computation).
-    pub pred_count: u64,
-}
-
-impl<T: Scalar> CompressOutput<T> {
-    /// Mean absolute prediction error (the quantity Algorithm 1
-    /// selects on).
-    pub fn mean_abs_pred_err(&self) -> f64 {
-        if self.pred_count == 0 {
-            0.0
-        } else {
-            self.sum_abs_pred_err / self.pred_count as f64
-        }
-    }
-}
-
-/// Per-pass statistics returned by the scratch-based engine entry point
-/// (the owned-buffer fields of [`CompressOutput`] live in the arena).
+/// Per-pass statistics returned by [`compress_with_spec_into`] (the
+/// streams and the reconstruction stay in the arena).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct EngineStats {
     /// Sum of `|value - prediction|` over all interpolated points.
@@ -94,29 +72,13 @@ impl EngineStats {
     }
 }
 
-/// Compress `data` according to `spec`.
-pub fn compress_with_spec<T: Scalar>(data: &NdArray<T>, spec: &InterpSpec) -> CompressOutput<T> {
-    let mut s = Scratch::new();
-    let stats = compress_with_spec_into(data, spec, &mut s);
-    CompressOutput {
-        bins: s.bins,
-        unpred: s.unpred,
-        anchors: s.anchors,
-        recon: NdArray::from_vec(data.shape(), s.work),
-        sum_abs_pred_err: stats.sum_abs_pred_err,
-        pred_count: stats.pred_count,
-    }
-}
-
-/// Scratch-based core of [`compress_with_spec`]: stages the pass in a
-/// reusable arena instead of allocating fresh buffers.
+/// Compress `data` according to `spec`, staging the pass in a reusable
+/// arena.
 ///
 /// On return, `scratch.bins`/`scratch.unpred`/`scratch.anchors` hold the
 /// three engine streams and `scratch.work` holds the
-/// decompressor-identical reconstruction. The contents are exactly those
-/// [`compress_with_spec`] would produce (it is a thin wrapper over this
-/// function); buffers re-grow safely when `data` is larger or shaped
-/// differently than the previous call.
+/// decompressor-identical reconstruction. Buffers re-grow safely when
+/// `data` is larger or shaped differently than the previous call.
 pub fn compress_with_spec_into<T: Scalar>(
     data: &NdArray<T>,
     spec: &InterpSpec,
@@ -174,47 +136,16 @@ pub fn compress_with_spec_path<T: Scalar>(
 
     for level in (1..=spec.max_level).rev() {
         let q = LinearQuantizer::with_radius(spec.eb_of(level), spec.quant_radius);
-        let cfg = spec.config_of(level);
-        // The vector path goes through the run-granular traversal; the
-        // scalar path (and radii beyond the vector kernel's range) keeps
-        // the original per-point loop verbatim as reference and fallback.
-        let fused = if path == KernelPath::Scalar {
-            None
-        } else {
-            QuantSpec::from_quantizer(&q)
+        let mut sink = CompressSink {
+            qs: QuantSpec::from_quantizer(&q),
+            q: &q,
+            path,
+            bins,
+            unpred: &mut unpred,
+            stats: &mut stats,
         };
-        if let Some(qs) = fused {
-            let mut sink = CompressSink {
-                q: &q,
-                qs,
-                path,
-                bins,
-                unpred: &mut unpred,
-                stats: &mut stats,
-            };
-            traverse_level_runs(&mut scratch.work[..], shape, level, cfg, &mut sink);
-        } else {
-            traverse_level(
-                &mut scratch.work[..],
-                shape,
-                level,
-                cfg,
-                &mut |buf, off, pred| {
-                    let v = buf[off];
-                    let err = v.to_f64() - pred;
-                    if err.is_finite() {
-                        stats.sum_abs_pred_err += err.abs();
-                    }
-                    stats.pred_count += 1;
-                    let qz = q.quantize(v, pred);
-                    if qz.code == 0 {
-                        unpred.put_bytes(&v.to_le_bytes_vec());
-                    }
-                    bins.push(qz.code);
-                    buf[off] = qz.reconstructed;
-                },
-            );
-        }
+        let cfg = spec.config_of(level);
+        traverse_level_runs(&mut scratch.work[..], shape, level, cfg, &mut sink);
     }
 
     scratch.unpred = unpred.into_vec();
@@ -222,11 +153,12 @@ pub fn compress_with_spec_path<T: Scalar>(
     stats
 }
 
-/// Compress-side block sink for the vector path: per chunk, fill the
-/// stencil predictions, quantize lane-parallel, then run the ordered
-/// scalar epilogue (tuner statistics, unpredictable side stream, store
-/// of reconstructions). Per-point results — and the order of every
-/// stream — are exactly those of the scalar closure above.
+/// Compress-side sink of the level walk. Boundary points go through the
+/// per-point quantizer; per chunk of an interior run it fills the
+/// stencil predictions, quantizes them as one block on `path`, then runs
+/// the ordered epilogue (tuner statistics, unpredictable side stream,
+/// store of reconstructions). Per-point results — and the order of every
+/// stream — are exactly those of quantizing point by point.
 struct CompressSink<'a> {
     q: &'a LinearQuantizer,
     qs: QuantSpec,
@@ -536,6 +468,13 @@ mod tests {
         Ok(out)
     }
 
+    /// One engine pass into a fresh arena.
+    fn compress<T: Scalar>(data: &NdArray<T>, spec: &InterpSpec) -> (Scratch<T>, EngineStats) {
+        let mut scratch = Scratch::new();
+        let stats = compress_with_spec_into(data, spec, &mut scratch);
+        (scratch, stats)
+    }
+
     fn smooth_3d(n: usize) -> NdArray<f64> {
         NdArray::from_fn(Shape::d3(n, n, n), |i| {
             (i[0] as f64 * 0.2).sin() + (i[1] as f64 * 0.15).cos() + i[2] as f64 * 0.01
@@ -549,10 +488,10 @@ mod tests {
             InterpSpec::sz3(data.shape(), 1e-3, LevelConfig::default()),
             InterpSpec::anchored(8, 1e-3, LevelConfig::default()),
         ] {
-            let out = compress_with_spec(&data, &spec);
+            let (out, _) = compress(&data, &spec);
             let recon =
                 decode::<f64>(data.shape(), &spec, &out.bins, &out.unpred, &out.anchors).unwrap();
-            assert_eq!(out.recon.as_slice(), recon.as_slice(), "spec {spec:?}");
+            assert_eq!(out.work, recon.as_slice(), "spec {spec:?}");
         }
     }
 
@@ -562,18 +501,19 @@ mod tests {
         let mut spec = InterpSpec::anchored(16, 1e-2, LevelConfig::default());
         // Tighter bounds on higher levels, like QoZ's alpha/beta scheme.
         spec.level_ebs = vec![1e-2, 5e-3, 2.5e-3, 1.25e-3];
-        let out = compress_with_spec(&data, &spec);
+        let (out, _) = compress(&data, &spec);
+        let recon = NdArray::from_vec(data.shape(), out.work);
         // The global contract is the loosest (level-1) bound.
-        assert!(data.max_abs_diff(&out.recon) <= 1e-2 + 1e-14);
+        assert!(data.max_abs_diff(&recon) <= 1e-2 + 1e-14);
     }
 
     #[test]
     fn anchors_are_lossless() {
         let data = smooth_3d(16);
         let spec = InterpSpec::anchored(4, 1e-1, LevelConfig::default());
-        let out = compress_with_spec(&data, &spec);
+        let (out, _) = compress(&data, &spec);
         for_each_base_point(data.shape(), 4, |off| {
-            assert_eq!(out.recon.as_slice()[off], data.as_slice()[off]);
+            assert_eq!(out.work[off], data.as_slice()[off]);
         });
     }
 
@@ -581,11 +521,11 @@ mod tests {
     fn bin_count_matches_point_count() {
         let data = smooth_3d(10);
         let spec = InterpSpec::sz3(data.shape(), 1e-3, LevelConfig::default());
-        let out = compress_with_spec(&data, &spec);
+        let (out, _) = compress(&data, &spec);
         assert_eq!(out.bins.len(), data.len());
 
         let anchored = InterpSpec::anchored(4, 1e-3, LevelConfig::default());
-        let out2 = compress_with_spec(&data, &anchored);
+        let (out2, _) = compress(&data, &anchored);
         let n_anchors = qoz_predict::traverse::base_point_count(data.shape(), 4);
         assert_eq!(out2.bins.len(), data.len() - n_anchors);
         assert_eq!(out2.anchors.len(), n_anchors * 8);
@@ -595,7 +535,7 @@ mod tests {
     fn missing_bins_detected() {
         let data = smooth_3d(8);
         let spec = InterpSpec::sz3(data.shape(), 1e-3, LevelConfig::default());
-        let out = compress_with_spec(&data, &spec);
+        let (out, _) = compress(&data, &spec);
         let short = &out.bins[..out.bins.len() - 1];
         assert!(decode::<f64>(data.shape(), &spec, short, &out.unpred, &out.anchors).is_err());
     }
@@ -604,7 +544,7 @@ mod tests {
     fn trailing_bins_detected() {
         let data = smooth_3d(8);
         let spec = InterpSpec::sz3(data.shape(), 1e-3, LevelConfig::default());
-        let out = compress_with_spec(&data, &spec);
+        let (out, _) = compress(&data, &spec);
         let mut long = out.bins.clone();
         long.push(32768);
         assert!(decode::<f64>(data.shape(), &spec, &long, &out.unpred, &out.anchors).is_err());
@@ -618,7 +558,7 @@ mod tests {
             (x as f64 / u64::MAX as f64) * 1e6
         });
         let spec = InterpSpec::sz3(data.shape(), 1e-12, LevelConfig::default());
-        let out = compress_with_spec(&data, &spec);
+        let (out, _) = compress(&data, &spec);
         assert!(!out.unpred.is_empty(), "test needs unpredictable points");
         assert!(decode::<f64>(
             data.shape(),
@@ -641,7 +581,7 @@ mod tests {
                 order: qoz_predict::DimOrder::Ascending,
             };
             let spec = InterpSpec::anchored(32, 1e-4, cfg);
-            compress_with_spec(&data, &spec).mean_abs_pred_err()
+            compress(&data, &spec).1.mean_abs_pred_err()
         };
         let linear = mk(qoz_predict::InterpKind::Linear);
         let cubic = mk(qoz_predict::InterpKind::Cubic);

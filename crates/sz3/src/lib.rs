@@ -17,10 +17,7 @@ pub mod engine;
 pub mod select;
 pub mod spec;
 
-pub use engine::{
-    compress_with_spec, compress_with_spec_into, decompress_with_spec_into, CompressOutput,
-    EngineStats,
-};
+pub use engine::{compress_with_spec_into, decompress_with_spec_into, EngineStats};
 pub use select::select_global_interp;
 pub use spec::InterpSpec;
 

@@ -5,8 +5,9 @@
 //! lowest mean absolute prediction error. (QoZ refines this to a
 //! *per-level* selection; that lives in `qoz-core`.)
 
-use crate::engine::compress_with_spec;
+use crate::engine::compress_with_spec_into;
 use crate::spec::InterpSpec;
+use qoz_codec::Scratch;
 use qoz_predict::LevelConfig;
 use qoz_tensor::{sample_blocks, NdArray, SamplePlan, Scalar, Shape};
 
@@ -43,12 +44,13 @@ pub fn select_global_interp<T: Scalar>(data: &NdArray<T>, abs_eb: f64) -> LevelC
             )
         })
         .collect();
+    let mut scratch = Scratch::new();
     for cand in candidates {
         let mut sum = 0.0f64;
         let mut count = 0u64;
         for block in &blocks {
             let spec = InterpSpec::sz3(block.shape(), abs_eb, cand);
-            let out = compress_with_spec(block, &spec);
+            let out = compress_with_spec_into(block, &spec, &mut scratch);
             sum += out.sum_abs_pred_err;
             count += out.pred_count;
         }

@@ -28,6 +28,27 @@ pub struct InterpSpec {
 }
 
 impl InterpSpec {
+    /// Largest quantizer code radius a spec may carry. Every decoder of a
+    /// serialized spec (streams, plan snapshots) enforces it through
+    /// [`InterpSpec::checked_radius`] (and the anchor range through
+    /// [`InterpSpec::checked_anchor_stride`]), so a spec that decodes
+    /// also compresses to a stream that decodes; it keeps every radius
+    /// that reaches the engine inside the block kernel's range.
+    pub const MAX_QUANT_RADIUS: u32 = 1 << 24;
+
+    /// Validate a decoded quantizer radius: `2..=MAX_QUANT_RADIUS`, the
+    /// range the quantizer and the engine accept.
+    pub fn checked_radius(raw: u64) -> Option<u32> {
+        (2..=u64::from(Self::MAX_QUANT_RADIUS))
+            .contains(&raw)
+            .then_some(raw as u32)
+    }
+
+    /// Validate a decoded anchor stride: a power of two in `2..=2^30`.
+    pub fn checked_anchor_stride(raw: u64) -> Option<u32> {
+        ((2..=1 << 30).contains(&raw) && raw.is_power_of_two()).then_some(raw as u32)
+    }
+
     /// SZ3's fixed configuration: no anchors, single interpolator, one
     /// global error bound on every level.
     pub fn sz3(shape: Shape, abs_eb: f64, cfg: LevelConfig) -> Self {
@@ -107,13 +128,10 @@ impl InterpSpec {
         let anchored = r.get_u8()?;
         let anchor_stride = match anchored {
             0 => None,
-            1 => {
-                let s = r.get_varint()?;
-                if !(2..=(1 << 30)).contains(&s) || !u64::is_power_of_two(s) {
-                    return Err(CodecError::Corrupt("bad anchor stride"));
-                }
-                Some(s as u32)
-            }
+            1 => Some(
+                Self::checked_anchor_stride(r.get_varint()?)
+                    .ok_or(CodecError::Corrupt("bad anchor stride"))?,
+            ),
             _ => return Err(CodecError::Corrupt("bad anchor flag")),
         };
         let max_lv = r.get_varint()? as u32;
@@ -149,10 +167,8 @@ impl InterpSpec {
             }
             level_ebs.push(eb);
         }
-        let quant_radius = r.get_varint()? as u32;
-        if !(2..=(1 << 24)).contains(&quant_radius) {
-            return Err(CodecError::Corrupt("bad quantizer radius"));
-        }
+        let quant_radius = Self::checked_radius(r.get_varint()?)
+            .ok_or(CodecError::Corrupt("bad quantizer radius"))?;
         // Unanchored specs must cover the full shape.
         if anchor_stride.is_none() && max_lv < max_level(shape) {
             return Err(CodecError::Corrupt("spec does not cover array"));

@@ -1,7 +1,7 @@
 //! Golden-bitstream regression tests.
 //!
 //! The compressed stream format is a compatibility contract: the
-//! line-kernel traversal, the table-driven Huffman coder, and the
+//! run-granular level walk, the table-driven Huffman coder, and the
 //! parallel chunk pipeline are all required to produce output
 //! byte-identical to the original scalar implementations. These tests
 //! pin the exact bytes (FNV-1a hash + length) of the streams produced

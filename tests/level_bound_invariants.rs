@@ -2,8 +2,9 @@
 //! interpolation level must respect *its own* (tighter) bound, not just
 //! the global one — the mechanism behind Eq. 5's quality gains.
 
+use qoz_suite::codec::Scratch;
 use qoz_suite::predict::{base_stride, for_each_base_point, max_level, traverse_level};
-use qoz_suite::sz3::{compress_with_spec, InterpSpec};
+use qoz_suite::sz3::{compress_with_spec_into, InterpSpec};
 use qoz_suite::tensor::{NdArray, Shape};
 
 fn field() -> NdArray<f64> {
@@ -38,11 +39,12 @@ fn per_level_bounds_hold_pointwise() {
     // Strongly tiered bounds.
     spec.level_ebs = vec![8e-3, 4e-3, 2e-3, 1e-3];
 
-    let out = compress_with_spec(&data, &spec);
+    let mut scratch = Scratch::new();
+    compress_with_spec_into(&data, &spec, &mut scratch);
     for (level, offs) in offsets_by_level(shape, &spec) {
         let eb = spec.eb_of(level);
         for off in offs {
-            let err = (out.recon.as_slice()[off] - data.as_slice()[off]).abs();
+            let err = (scratch.work[off] - data.as_slice()[off]).abs();
             assert!(
                 err <= eb * (1.0 + 1e-12),
                 "level {level}: err {err} > eb {eb} at offset {off}"

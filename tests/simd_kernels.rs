@@ -148,7 +148,7 @@ proptest! {
         let (vals, preds) = vp;
         let n = vals.len();
         let q = LinearQuantizer::new(eb);
-        let spec = QuantSpec::from_quantizer(&q).expect("default radius fits SIMD");
+        let spec = QuantSpec::from_quantizer(&q);
 
         // Scalar oracle: the per-point quantizer.
         let oracle: Vec<(u32, u64)> = vals
